@@ -4,8 +4,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. Per-experiment notes and paper-vs-measured
-// values live in EXPERIMENTS.md.
+// reproduces the full evaluation. The README's "`experiments` — paper tables
+// and figures" section lists the artifacts.
 package main
 
 import (
@@ -58,8 +58,8 @@ func BenchmarkFig23(b *testing.B) { runExperiment(b, "fig23") }
 func BenchmarkFig24(b *testing.B) { runExperiment(b, "fig24") }
 func BenchmarkFig25(b *testing.B) { runExperiment(b, "fig25") }
 
-// BenchmarkAblation covers the design-choice sweeps DESIGN.md calls out
-// (gamma decay, SABRE lookahead, reverse passes) beyond the paper's Fig 21.
+// BenchmarkAblation covers the design-choice sweeps (gamma decay, SABRE
+// lookahead, reverse passes) beyond the paper's Fig 21.
 func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
 
 // BenchmarkScaling measures compile time versus circuit size (the

@@ -1,14 +1,13 @@
 // Package exp contains one driver per table and figure of the paper's
 // evaluation (Sec. V). Each driver regenerates the corresponding artifact as
-// plain-text tables from fixed seeds; EXPERIMENTS.md records paper-vs-
-// measured values. Run them via cmd/experiments or the bench harness in
-// bench_test.go.
+// plain-text tables from fixed seeds. Run them via cmd/experiments (see the
+// README's "`experiments` — paper tables and figures" section) or the bench
+// harness in bench_test.go.
 package exp
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"atomique/internal/circuit"
 	"atomique/internal/compiler"
@@ -168,13 +167,3 @@ func configFor(n int) hardware.Config {
 
 // geoMeanColumn extracts a metric across rows and appends its geometric mean.
 func geoMeanColumn(vals []float64) float64 { return metrics.GeoMean(vals) }
-
-// sortedKeys returns map keys in sorted order for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -19,18 +19,7 @@ import (
 // parallel, so shots/s should scale with GOMAXPROCS until memory bandwidth
 // saturates. CI runs it as a smoke test (-benchtime=1x).
 func BenchmarkNoisyShots(b *testing.B) {
-	be, ok := compiler.Lookup("atomique")
-	if !ok {
-		b.Fatal("atomique backend not registered")
-	}
-	circ := bench.QAOARegular(12, 3, 15)
-	res, err := be.Compile(context.Background(), compiler.Target{}, circ, compiler.Options{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := noise.Build(hardware.NeutralAtom(), res.Metrics)
-	w := noise.Witness{NSlots: res.Program.NSlots, Gates: res.Program.Gates}
-
+	model, w := qaoaWitness(b)
 	const shots = 16384
 	maxWorkers := runtime.GOMAXPROCS(0)
 	for workers := 1; ; workers *= 2 {
@@ -64,16 +53,7 @@ func BenchmarkNoisyShots(b *testing.B) {
 // conjugation sweep; the model mirrors the neutral-atom channel mix. CI runs
 // it as a smoke test (-benchtime=1x).
 func BenchmarkStabTrajectory(b *testing.B) {
-	const n = 128
-	circ := bench.GHZ(n)
-	w := noise.Witness{NSlots: n, Gates: circ.Gates}
-	model := noise.Model{Channels: []noise.Channel{
-		{Label: "1q-gate", Kind: noise.Pauli1Q, Trials: 1, Prob: 2e-3},
-		{Label: "2q-gate", Kind: noise.Pauli2Q, Trials: n - 1, Prob: 5e-3},
-		{Label: "decoherence", Kind: noise.Dephase, Trials: n, Prob: 1e-3},
-		{Label: "transfer", Kind: noise.Loss, Trials: n, Prob: 2e-4},
-	}}
-
+	model, w := ghzWitness()
 	const shots = 16384
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -112,30 +92,39 @@ func BenchmarkSample(b *testing.B) {
 	}
 
 	b.Run("dense-qaoa-12", func(b *testing.B) {
-		be, ok := compiler.Lookup("atomique")
-		if !ok {
-			b.Fatal("atomique backend not registered")
-		}
-		circ := bench.QAOARegular(12, 3, 15)
-		res, err := be.Compile(context.Background(), compiler.Target{}, circ, compiler.Options{Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		model := noise.Build(hardware.NeutralAtom(), res.Metrics)
-		w := noise.Witness{NSlots: res.Program.NSlots, Gates: res.Program.Gates}
+		model, w := qaoaWitness(b)
 		run(b, model, w, noise.EngineDense)
 	})
 
 	b.Run("stab-ghz-128", func(b *testing.B) {
-		const n = 128
-		circ := bench.GHZ(n)
-		w := noise.Witness{NSlots: n, Gates: circ.Gates}
-		model := noise.Model{Channels: []noise.Channel{
-			{Label: "1q-gate", Kind: noise.Pauli1Q, Trials: 1, Prob: 2e-3},
-			{Label: "2q-gate", Kind: noise.Pauli2Q, Trials: n - 1, Prob: 5e-3},
-			{Label: "decoherence", Kind: noise.Dephase, Trials: n, Prob: 1e-3},
-			{Label: "transfer", Kind: noise.Loss, Trials: n, Prob: 2e-4},
-		}}
+		model, w := ghzWitness()
 		run(b, model, w, noise.EngineStab)
 	})
+}
+
+// qaoaWitness compiles a 12-qubit QAOA circuit with the atomique backend:
+// a non-Clifford witness for the dense engine, under its derived noise model.
+func qaoaWitness(b *testing.B) (noise.Model, noise.Witness) {
+	be, ok := compiler.Lookup("atomique")
+	if !ok {
+		b.Fatal("atomique backend not registered")
+	}
+	circ := bench.QAOARegular(12, 3, 15)
+	res, err := be.Compile(context.Background(), compiler.Target{}, circ, compiler.Options{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return noise.Build(hardware.NeutralAtom(), res.Metrics), noise.Witness{NSlots: res.Program.NSlots, Gates: res.Program.Gates}
+}
+
+// ghzWitness is a 128-qubit GHZ chain — Clifford, and beyond the dense
+// engine — under a model mirroring the neutral-atom channel mix.
+func ghzWitness() (noise.Model, noise.Witness) {
+	const n = 128
+	return noise.Model{Channels: []noise.Channel{
+		{Label: "1q-gate", Kind: noise.Pauli1Q, Trials: 1, Prob: 2e-3},
+		{Label: "2q-gate", Kind: noise.Pauli2Q, Trials: n - 1, Prob: 5e-3},
+		{Label: "decoherence", Kind: noise.Dephase, Trials: n, Prob: 1e-3},
+		{Label: "transfer", Kind: noise.Loss, Trials: n, Prob: 2e-4},
+	}}, noise.Witness{NSlots: n, Gates: bench.GHZ(n).Gates}
 }

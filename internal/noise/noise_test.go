@@ -251,8 +251,8 @@ func TestSimulateErrors(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Simulate(ctx, mo, bellWitness(), Run{Shots: 100000}); err == nil {
-		t.Error("cancelled context completed")
+	if _, err := Simulate(ctx, mo, bellWitness(), Run{Shots: 100000}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

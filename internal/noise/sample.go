@@ -3,16 +3,10 @@ package noise
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"atomique/internal/obs"
 	"atomique/internal/sim"
-	"atomique/internal/stab"
 )
 
 // MaxSampleKeys caps the distinct bitstrings one sampling run will aggregate.
@@ -78,12 +72,11 @@ type SampleResult struct {
 	ErrorShots int `json:"errorShots"`
 }
 
-// samplePartial is one chunk's outcome buffer.
+// samplePartial accumulates one chunk of Sample's shots.
 type samplePartial struct {
-	counts                  map[string]*int64
-	records                 []ShotRecord
-	survived, lost, errored int
-	done                    chan struct{}
+	tally
+	counts  map[string]*int64
+	records []ShotRecord
 }
 
 // Sample runs the Monte-Carlo sampling trajectories: Shots independent
@@ -99,269 +92,92 @@ type samplePartial struct {
 // the shot's Pauli-frame X bits into the ideal draw, since X^aZ^b|ψ⟩ has
 // |⟨z|X^aZ^b|ψ⟩|² = |⟨z⊕a|ψ⟩|². Lost shots produce no bitstring.
 func Sample(ctx context.Context, mo Model, w Witness, run SampleRun) (*SampleResult, error) {
-	if run.Shots <= 0 {
-		return nil, fmt.Errorf("noise: shots must be positive, got %d", run.Shots)
+	p, err := prepare(ctx, mo, w, run.Engine, run.Shots, run.Offset, true)
+	if err != nil {
+		return nil, err
 	}
-	if run.Offset < 0 {
-		return nil, fmt.Errorf("noise: shot offset must be non-negative, got %d", run.Offset)
+	stream := run.Emit != nil
+	var emit func(*samplePartial) error
+	if stream {
+		emit = func(sp *samplePartial) error { return run.Emit(sp.records) }
 	}
-	if run.Offset > MaxShotIndex-int64(run.Shots) {
-		return nil, fmt.Errorf("noise: shot range [%d, %d) exceeds the global index cap 2^40", run.Offset, run.Offset+int64(run.Shots))
+	parts, err := runChunks(ctx, p, chunkRun{
+		shots: run.Shots, offset: run.Offset, seed: run.Seed, workers: run.Workers,
+		span: "noise.sample", what: "sampling",
+		attrs: []string{"offset", strconv.FormatInt(run.Offset, 10), "stream", strconv.FormatBool(stream)},
+	}, func() samplePartial { return samplePartial{counts: make(map[string]*int64)} },
+		func(sh *shotSim, seed, g int64, sp *samplePartial) {
+			lost := sh.runSample(seed, g, &sp.tally)
+			sp.record(g, lost, sh.keyBuf, stream)
+		}, emit)
+	if err != nil {
+		return nil, err
 	}
-	if !ValidEngine(run.Engine) {
-		return nil, fmt.Errorf("noise: unknown engine %q (want %s, %s, or %s)", run.Engine, EngineAuto, EngineDense, EngineStab)
-	}
-	if w.NSlots <= 0 {
-		return nil, fmt.Errorf("noise: witness register %d slots wide; want at least 1", w.NSlots)
-	}
-	engine := ResolveEngine(run.Engine, w)
-	switch {
-	case engine == EngineDense && w.NSlots > MaxQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the dense trajectory engine handles 1..%d (Clifford witnesses dispatch to engine=stab)", w.NSlots, MaxQubits)
-	case engine == EngineStab && w.NSlots > MaxStabQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the stabilizer trajectory engine handles 1..%d", w.NSlots, MaxStabQubits)
-	}
-	for i, g := range w.Gates {
-		if g.Q0 < 0 || g.Q0 >= w.NSlots || (g.IsTwoQubit() && (g.Q1 < 0 || g.Q1 >= w.NSlots)) {
-			return nil, fmt.Errorf("noise: witness gate %d (%v) addresses a slot outside [0,%d)", i, g, w.NSlots)
-		}
-	}
-	workers := run.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return p.reduceSample(run, parts)
+}
 
-	parent := obs.SpanFromContext(ctx)
-	replaySpan := parent.StartChild("witness.replay")
-	var ideal *sim.State
-	var denseSampler *sim.Sampler
-	var tab *stab.Tableau
-	var stabSampler *stab.Sampler
-	var ct *conjTable
-	switch engine {
-	case EngineStab:
-		t, err := stab.New(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		if err := t.Run(w.Gates); err != nil {
-			return nil, fmt.Errorf("noise: engine=%s: %w", EngineStab, err)
-		}
-		s, err := t.NewSampler()
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		tab, stabSampler = t, s
-		ct = newConjTable(w)
-	default:
-		st, err := sim.NewState(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		for _, g := range w.Gates {
-			st.Apply(g)
-		}
-		ideal = st
-		denseSampler = sim.NewSampler(st)
-	}
-	if replaySpan != nil {
-		replaySpan.SetAttr("slots", strconv.Itoa(w.NSlots))
-		replaySpan.SetAttr("gates", strconv.Itoa(len(w.Gates)))
-		replaySpan.SetAttr("engine", engine)
-		replaySpan.End()
-	}
-
-	var oneQSites, twoQSites []int
-	for i, g := range w.Gates {
-		if g.IsTwoQubit() {
-			twoQSites = append(twoQSites, i)
+// record counts shot g's bitstring key unless the shot was lost and, when
+// streaming, appends the shot's record.
+func (sp *samplePartial) record(g int64, lost bool, key []byte, stream bool) {
+	var bits string
+	if !lost {
+		// Alloc-free lookup on the hot path; the key string materialises
+		// once per distinct outcome.
+		if c, ok := sp.counts[string(key)]; ok {
+			*c++
 		} else {
-			oneQSites = append(oneQSites, i)
+			bits = string(key)
+			one := int64(1)
+			sp.counts[bits] = &one
 		}
 	}
-
-	numChunks := (run.Shots + chunkShots - 1) / chunkShots
-	sampleSpan := parent.StartChild("noise.sample")
-	if sampleSpan != nil {
-		sampleSpan.SetAttr("shots", strconv.Itoa(run.Shots))
-		sampleSpan.SetAttr("offset", strconv.FormatInt(run.Offset, 10))
-		sampleSpan.SetAttr("chunks", strconv.Itoa(numChunks))
-		sampleSpan.SetAttr("workers", strconv.Itoa(workers))
-		sampleSpan.SetAttr("engine", engine)
-		sampleSpan.SetAttr("stream", strconv.FormatBool(run.Emit != nil))
-	}
-	partials := make([]samplePartial, numChunks)
-	for i := range partials {
-		partials[i].done = make(chan struct{})
-	}
-	var nextChunk atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	// When streaming, bound worker look-ahead past the emit cursor so
-	// buffered shot records stay O(workers·chunk) however slow the consumer:
-	// a worker surrenders a ticket per chunk it claims, the emitter returns
-	// one per chunk it flushes.
-	var tickets chan struct{}
-	stop := make(chan struct{})
-	if run.Emit != nil {
-		tickets = make(chan struct{}, workers*4)
-		for i := 0; i < cap(tickets); i++ {
-			tickets <- struct{}{}
+	if stream {
+		if bits == "" && !lost {
+			bits = string(key)
 		}
+		sp.records = append(sp.records, ShotRecord{Shot: g, Bits: bits, Lost: lost})
 	}
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh := newShotSim(mo, w, ideal, tab, ct, oneQSites, twoQSites)
-			sh.denseSampler = denseSampler
-			sh.stabSampler = stabSampler
-			sh.outBuf = make([]uint64, (w.NSlots+63)/64)
-			sh.keyBuf = make([]byte, w.NSlots)
-			for {
-				if tickets != nil {
-					select {
-					case <-tickets:
-					case <-stop:
-						return
-					}
-				}
-				c := int(nextChunk.Add(1) - 1)
-				if c >= numChunks || cancelled.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				sp := &partials[c]
-				sp.counts = make(map[string]*int64)
-				lo := c * chunkShots
-				hi := lo + chunkShots
-				if hi > run.Shots {
-					hi = run.Shots
-				}
-				chunkStart := time.Now()
-				for shot := lo; shot < hi; shot++ {
-					g := run.Offset + int64(shot)
-					lost, errored := sh.runSample(run.Seed, g)
-					switch {
-					case lost:
-						sp.lost++
-						sp.errored++
-					case errored:
-						sp.errored++
-					default:
-						sp.survived++
-					}
-					var bitsStr string
-					if !lost {
-						// Alloc-free lookup on the hot path; the key string
-						// materialises once per distinct outcome.
-						if p, ok := sp.counts[string(sh.keyBuf)]; ok {
-							*p++
-						} else {
-							bitsStr = string(sh.keyBuf)
-							one := int64(1)
-							sp.counts[bitsStr] = &one
-						}
-					}
-					if run.Emit != nil {
-						if bitsStr == "" && !lost {
-							bitsStr = string(sh.keyBuf)
-						}
-						sp.records = append(sp.records, ShotRecord{Shot: g, Bits: bitsStr, Lost: lost})
-					}
-				}
-				close(sp.done)
-				if sampleSpan != nil {
-					if cs := sampleSpan.Record("chunk", chunkStart, time.Since(chunkStart)); cs != nil {
-						cs.SetAttr("shots", fmt.Sprintf("%d..%d", run.Offset+int64(lo), run.Offset+int64(hi-1)))
-					}
-				}
-			}
-		}()
-	}
-	workersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(workersDone)
-	}()
+}
 
-	var emitErr error
-	if run.Emit != nil {
-	emitLoop:
-		for c := 0; c < numChunks; c++ {
-			select {
-			case <-partials[c].done:
-			case <-workersDone:
-				select {
-				case <-partials[c].done:
-				default:
-					break emitLoop // run aborted before chunk c computed
-				}
-			}
-			if err := run.Emit(partials[c].records); err != nil {
-				cancelled.Store(true)
-				emitErr = err
-				break emitLoop
-			}
-			tickets <- struct{}{}
-		}
-		close(stop)
-	}
-	<-workersDone
-	sampleSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("noise: sampling cancelled: %w", err)
-	}
-	if emitErr != nil {
-		return nil, fmt.Errorf("noise: shot stream aborted: %w", emitErr)
-	}
-
-	// Deterministic reduction in chunk order (map content is order-free, the
-	// tallies reduce like Simulate's).
+// reduceSample merges Sample's chunk histograms and tallies, in chunk
+// order, into the SampleResult.
+func (p *prepared) reduceSample(run SampleRun, parts []samplePartial) (*SampleResult, error) {
 	res := &SampleResult{
 		Shots:  run.Shots,
 		Offset: run.Offset,
 		Seed:   run.Seed,
-		Engine: engine,
-		NSlots: w.NSlots,
+		Engine: p.engine,
+		NSlots: p.w.NSlots,
 		Counts: make(map[string]int64),
 	}
-	for i := range partials {
-		p := &partials[i]
-		res.Survived += p.survived
-		res.LostShots += p.lost
-		res.ErrorShots += p.errored
-		for k, v := range p.counts {
+	var tot tally
+	for i := range parts {
+		tot.merge(parts[i].tally)
+		for k, v := range parts[i].counts {
 			res.Counts[k] += *v
 		}
 		if len(res.Counts) > MaxSampleKeys {
 			return nil, fmt.Errorf("noise: histogram exceeds %d distinct outcomes; narrow the shot range or stream per-shot records", MaxSampleKeys)
 		}
 	}
+	res.Survived, res.LostShots, res.ErrorShots = tot.survived, tot.lost, tot.errored
 	res.Distinct = len(res.Counts)
 	return res, nil
 }
 
-// runSample executes one trajectory and leaves its rendered bitstring in
-// s.keyBuf (unless the shot was lost). The event-sampling draws match
-// shotSim.run exactly; measurement draws consume the stream after them.
-func (s *shotSim) runSample(seed, shot int64) (lost, errored bool) {
-	r := shotRNG(seed, shot)
-	s.events = s.events[:0]
-	for ci := range s.mo.Channels {
-		c := &s.mo.Channels[ci]
-		if s.sampleChannel(&r, c) > 0 && c.Kind == Loss {
-			lost = true
-		}
-	}
-	errored = lost || len(s.events) > 0
+// runSample executes one trajectory, tallies it into t, and leaves its
+// rendered bitstring in s.keyBuf unless the shot was lost. The measurement
+// draws consume the shot's stream after its event draws.
+func (s *shotSim) runSample(seed, shot int64, t *tally) (lost bool) {
+	r, lost := s.draw(seed, shot, nil)
+	t.add(lost, len(s.events) > 0)
 	if lost {
-		return
+		return true
 	}
-	if s.tab != nil {
+	// Dense outcomes index a state vector of at most MaxQubits slots, so
+	// they fit outBuf's first word.
+	switch {
+	case s.tab != nil:
 		s.stabSampler.Shot(s.outBuf, r.next)
 		if len(s.events) > 0 {
 			f := s.stabFrame()
@@ -369,23 +185,16 @@ func (s *shotSim) runSample(seed, shot int64) (lost, errored bool) {
 				s.outBuf[w] ^= f.X[w]
 			}
 		}
-		for q := 0; q < s.w.NSlots; q++ {
-			s.keyBuf[q] = '0' + byte(s.outBuf[q>>6]>>uint(q&63)&1)
-		}
-		return
-	}
-	var idx int
-	if len(s.events) == 0 {
-		idx = s.denseSampler.Draw(r.open01())
-	} else {
-		sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
+	case len(s.events) == 0:
+		s.outBuf[0] = uint64(s.denseSampler.Draw(r.open01()))
+	default:
 		s.replayDenseState()
-		idx = sim.SampleState(s.scratch, r.open01())
+		s.outBuf[0] = uint64(sim.SampleState(s.scratch, r.open01()))
 	}
-	for q := 0; q < s.w.NSlots; q++ {
-		s.keyBuf[q] = '0' + byte(idx>>uint(q)&1)
+	for q := range s.keyBuf {
+		s.keyBuf[q] = '0' + byte(s.outBuf[q>>6]>>uint(q&63)&1)
 	}
-	return
+	return false
 }
 
 // MergeSamples combines shard results from disjoint shot ranges of the same

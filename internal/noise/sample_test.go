@@ -3,37 +3,71 @@ package noise
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"atomique/internal/circuit"
 	"atomique/internal/sim"
-	"atomique/internal/stab"
 )
 
-// buildStabShotSim wires a shotSim for a Clifford witness the way Simulate
-// does, for tests that drive the per-shot machinery directly.
+// buildStabShotSim prepares a Clifford witness on the stabilizer engine the
+// way Simulate does, for tests that drive the per-shot machinery directly.
 func buildStabShotSim(t *testing.T, mo Model, w Witness) *shotSim {
 	t.Helper()
-	tab, err := stab.New(w.NSlots)
+	p, err := prepare(context.Background(), mo, w, EngineStab, 1, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Run(w.Gates); err != nil {
-		t.Fatal(err)
-	}
-	var oneQ, twoQ []int
-	for i, g := range w.Gates {
-		if g.IsTwoQubit() {
-			twoQ = append(twoQ, i)
-		} else {
-			oneQ = append(oneQ, i)
+	return p.newShotSim()
+}
+
+// replayStabNaive is the pre-table reference implementation — the frame
+// conjugated gate by gate through the witness suffix.
+func (s *shotSim) replayStabNaive() float64 {
+	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
+	f := s.frame
+	f.Reset()
+	ei := 0
+	// Gates before the first event act on an identity frame — skip them.
+	for gi := s.events[0].pos; gi <= len(s.w.Gates); gi++ {
+		for ei < len(s.events) && s.events[ei].pos == gi {
+			s.injectEvent(&s.events[ei])
+			ei++
+		}
+		if gi < len(s.w.Gates) {
+			f.Conjugate(s.w.Gates[gi])
 		}
 	}
-	return newShotSim(mo, w, nil, tab, newConjTable(w), oneQ, twoQ)
+	if s.tab.Disturbs(f) {
+		return 0
+	}
+	return 1
+}
+
+// injectEvent multiplies one sampled error into the Pauli frame.
+func (s *shotSim) injectEvent(e *event) {
+	inject := func(q, p int) {
+		switch p {
+		case 1:
+			s.frame.InjectX(q)
+		case 2:
+			s.frame.InjectY(q)
+		case 3:
+			s.frame.InjectZ(q)
+		}
+	}
+	switch e.kind {
+	case Pauli2Q:
+		inject(e.q0, e.pauli&3)
+		inject(e.q1, e.pauli>>2)
+	default: // Pauli1Q, Dephase
+		inject(e.q0, e.pauli&3)
+	}
 }
 
 // TestConjTableMatchesNaiveReplay pins the precomputed conjugation table to
@@ -68,16 +102,12 @@ func TestConjTableMatchesNaiveReplay(t *testing.T) {
 		sh := buildStabShotSim(t, hot, w)
 		checked := 0
 		for shot := int64(0); shot < 4000; shot++ {
-			r := shotRNG(42, shot)
-			sh.events = sh.events[:0]
-			for ci := range hot.Channels {
-				sh.sampleChannel(&r, &hot.Channels[ci])
-			}
+			sh.draw(42, shot, nil)
 			if len(sh.events) == 0 {
 				continue
 			}
 			checked++
-			fast := sh.replayStab()
+			fast := sh.replay()
 			fx := append([]uint64(nil), sh.frame.X...)
 			fz := append([]uint64(nil), sh.frame.Z...)
 			naive := sh.replayStabNaive()
@@ -251,7 +281,8 @@ func TestSampleMatchesSimulateTallies(t *testing.T) {
 }
 
 // TestSampleEmitStream checks streamed records arrive in global shot order,
-// agree with the histogram, and that an emit error aborts the run.
+// agree with the histogram, and that an emit error or a cancelled context
+// aborts the run.
 func TestSampleEmitStream(t *testing.T) {
 	w := cliffordWitness(11, 8, 50)
 	mo := noisySampleModel()
@@ -300,6 +331,14 @@ func TestSampleEmitStream(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "stream aborted") {
 		t.Fatalf("aborted stream returned %v, want a stream-aborted error", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, emit := range []func([]ShotRecord) error{nil, func([]ShotRecord) error { return nil }} {
+		if _, err := Sample(ctx, mo, w, SampleRun{Shots: shots, Seed: 2, Workers: 4, Emit: emit}); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled context (streaming %v): err = %v, want context.Canceled", emit != nil, err)
+		}
 	}
 }
 

@@ -2,18 +2,11 @@ package noise
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"atomique/internal/circuit"
-	"atomique/internal/obs"
 	"atomique/internal/sim"
 	"atomique/internal/stab"
 )
@@ -183,17 +176,10 @@ type event struct {
 	pauli  int // 1..3 for 1Q (X,Y,Z); 1..15 encoding a Pauli pair for 2Q
 }
 
-// chunkShots is the work-unit size of the parallel shot loop. Chunk
-// boundaries are fixed by shot index, so partial sums reduce in the same
-// order whatever the worker count — keeping Estimate deterministic.
-const chunkShots = 256
-
-// partial accumulates one chunk's statistics.
+// partial accumulates one chunk of Simulate's shots.
 type partial struct {
+	tally
 	sumF, sumF2 float64
-	survived    int
-	lost        int
-	errored     int
 	events      []int64
 }
 
@@ -227,145 +213,32 @@ func ResolveEngine(requested string, w Witness) string {
 // engines; results remain deterministic per (model, witness, shots, seed,
 // engine) whatever the worker count.
 func Simulate(ctx context.Context, mo Model, w Witness, run Run) (*Estimate, error) {
-	if run.Shots <= 0 {
-		return nil, fmt.Errorf("noise: shots must be positive, got %d", run.Shots)
+	p, err := prepare(ctx, mo, w, run.Engine, run.Shots, 0, false)
+	if err != nil {
+		return nil, err
 	}
-	if !ValidEngine(run.Engine) {
-		return nil, fmt.Errorf("noise: unknown engine %q (want %s, %s, or %s)", run.Engine, EngineAuto, EngineDense, EngineStab)
+	parts, err := runChunks(ctx, p, chunkRun{
+		shots: run.Shots, seed: run.Seed, workers: run.Workers,
+		span: "noise.trajectory", what: "simulation",
+	}, func() partial { return partial{events: make([]int64, len(mo.Channels))} }, (*shotSim).run, nil)
+	if err != nil {
+		return nil, err
 	}
-	if w.NSlots <= 0 {
-		return nil, fmt.Errorf("noise: witness register %d slots wide; want at least 1", w.NSlots)
-	}
-	engine := ResolveEngine(run.Engine, w)
-	switch {
-	case engine == EngineDense && w.NSlots > MaxQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the dense trajectory engine handles 1..%d (Clifford witnesses dispatch to engine=stab)", w.NSlots, MaxQubits)
-	case engine == EngineStab && w.NSlots > MaxStabQubits:
-		return nil, fmt.Errorf("noise: witness register %d slots wide; the stabilizer trajectory engine handles 1..%d", w.NSlots, MaxStabQubits)
-	}
-	for i, g := range w.Gates {
-		if g.Q0 < 0 || g.Q0 >= w.NSlots || (g.IsTwoQubit() && (g.Q1 < 0 || g.Q1 >= w.NSlots)) {
-			return nil, fmt.Errorf("noise: witness gate %d (%v) addresses a slot outside [0,%d)", i, g, w.NSlots)
-		}
-	}
-	workers := run.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return p.reduceEstimate(run, parts), nil
+}
 
-	// Traced callers (the compile service) get spans for the witness replay
-	// and the parallel shot loop; chunk sub-spans are recorded from worker
-	// goroutines (obs spans are concurrency-safe) and capped by the span's
-	// child limit. Untraced callers pay a nil check.
-	parent := obs.SpanFromContext(ctx)
-
-	// The noise-free reference, shared read-only by every worker: a dense
-	// state vector, or the final stabilizer tableau.
-	replaySpan := parent.StartChild("witness.replay")
-	var ideal *sim.State
-	var tab *stab.Tableau
-	var ct *conjTable
-	switch engine {
-	case EngineStab:
-		t, err := stab.New(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		if err := t.Run(w.Gates); err != nil {
-			return nil, fmt.Errorf("noise: engine=%s: %w", EngineStab, err)
-		}
-		tab = t
-		ct = newConjTable(w)
-	default:
-		st, err := sim.NewState(w.NSlots)
-		if err != nil {
-			return nil, fmt.Errorf("noise: %w", err)
-		}
-		for _, g := range w.Gates {
-			st.Apply(g)
-		}
-		ideal = st
-	}
-	if replaySpan != nil {
-		replaySpan.SetAttr("slots", strconv.Itoa(w.NSlots))
-		replaySpan.SetAttr("gates", strconv.Itoa(len(w.Gates)))
-		replaySpan.SetAttr("engine", engine)
-		replaySpan.End()
-	}
-
-	// Error-site tables: gate-attached events pick a uniform site of their
-	// kind in the witness stream.
-	var oneQSites, twoQSites []int
-	for i, g := range w.Gates {
-		if g.IsTwoQubit() {
-			twoQSites = append(twoQSites, i)
-		} else {
-			oneQSites = append(oneQSites, i)
-		}
-	}
-
-	numChunks := (run.Shots + chunkShots - 1) / chunkShots
-	trajSpan := parent.StartChild("noise.trajectory")
-	if trajSpan != nil {
-		trajSpan.SetAttr("shots", strconv.Itoa(run.Shots))
-		trajSpan.SetAttr("chunks", strconv.Itoa(numChunks))
-		trajSpan.SetAttr("workers", strconv.Itoa(workers))
-		trajSpan.SetAttr("engine", engine)
-	}
-	partials := make([]partial, numChunks)
-	var nextChunk atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh := newShotSim(mo, w, ideal, tab, ct, oneQSites, twoQSites)
-			for {
-				c := int(nextChunk.Add(1) - 1)
-				if c >= numChunks || cancelled.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				pt := &partials[c]
-				pt.events = make([]int64, len(mo.Channels))
-				lo := c * chunkShots
-				hi := lo + chunkShots
-				if hi > run.Shots {
-					hi = run.Shots
-				}
-				chunkStart := time.Now()
-				for shot := lo; shot < hi; shot++ {
-					sh.run(run.Seed, int64(shot), pt)
-				}
-				if trajSpan != nil {
-					if cs := trajSpan.Record("chunk", chunkStart, time.Since(chunkStart)); cs != nil {
-						cs.SetAttr("shots", fmt.Sprintf("%d..%d", lo, hi-1))
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	trajSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("noise: simulation cancelled: %w", err)
-	}
-
-	// Deterministic reduction in chunk order.
+// reduceEstimate folds Simulate's chunk partials, in chunk order, into the
+// Estimate: mean overlap with its confidence interval, survival, and the
+// per-channel event tallies.
+func (p *prepared) reduceEstimate(run Run, parts []partial) *Estimate {
 	var tot partial
-	tot.events = make([]int64, len(mo.Channels))
-	for i := range partials {
-		p := &partials[i]
-		tot.sumF += p.sumF
-		tot.sumF2 += p.sumF2
-		tot.survived += p.survived
-		tot.lost += p.lost
-		tot.errored += p.errored
-		for j, n := range p.events {
+	tot.events = make([]int64, len(p.mo.Channels))
+	for i := range parts {
+		pt := &parts[i]
+		tot.sumF += pt.sumF
+		tot.sumF2 += pt.sumF2
+		tot.merge(pt.tally)
+		for j, n := range pt.events {
 			tot.events[j] += n
 		}
 	}
@@ -383,89 +256,93 @@ func Simulate(ctx context.Context, mo Model, w Witness, run Run) (*Estimate, err
 	est := &Estimate{
 		Shots:      run.Shots,
 		Seed:       run.Seed,
-		Engine:     engine,
+		Engine:     p.engine,
 		Fidelity:   mean,
 		StdErr:     stderr,
 		CILow:      clamp01(mean - 1.96*stderr),
 		CIHigh:     clamp01(mean + 1.96*stderr),
 		Survival:   float64(tot.survived) / n,
-		Analytic:   mo.Analytic(),
+		Analytic:   p.mo.Analytic(),
 		LostShots:  tot.lost,
 		ErrorShots: tot.errored,
 	}
-	for i, c := range mo.Channels {
+	for i, c := range p.mo.Channels {
 		est.Channels = append(est.Channels, ChannelReport{
 			Label: c.Label, Prob: c.Prob, Trials: c.Trials, Events: tot.events[i],
 		})
 	}
-	return est, nil
+	return est
 }
 
-// shotSim is one worker's reusable trajectory state. Exactly one replay
-// engine is armed: dense (ideal + scratch state vectors) or stabilizer (the
-// shared read-only final tableau + a worker-private Pauli frame).
+// shotSim is one worker's reusable trajectory state: a copy of the shared
+// prepared engine (held by value, so the per-shot hot path reads its fields
+// without an extra indirection), scratch for exactly one replay engine — a
+// dense state vector, or a worker-private Pauli frame for the stabilizer
+// tableau — plus, when sampling, the outcome buffers.
 type shotSim struct {
-	mo        Model
-	w         Witness
-	oneQSites []int
-	twoQSites []int
-	events    []event
+	prepared
+	events []event
 
-	ideal   *sim.State
 	scratch *sim.State
+	frame   *stab.Frame
 
-	tab   *stab.Tableau
-	frame *stab.Frame
-	ct    *conjTable
-
-	// sampling-mode extras (nil/empty for plain Simulate)
-	denseSampler *sim.Sampler
-	stabSampler  *stab.Sampler
-	outBuf       []uint64 // qubit-packed outcome scratch (stab)
-	keyBuf       []byte   // rendered bitstring scratch, one byte per slot
+	outBuf []uint64 // qubit-packed outcome scratch (stab sampling)
+	keyBuf []byte   // rendered bitstring scratch, one byte per slot
 }
 
-func newShotSim(mo Model, w Witness, ideal *sim.State, tab *stab.Tableau, ct *conjTable, oneQ, twoQ []int) *shotSim {
-	s := &shotSim{mo: mo, w: w, ideal: ideal, tab: tab, ct: ct, oneQSites: oneQ, twoQSites: twoQ}
-	if tab != nil {
-		s.frame = tab.NewFrame()
+func (p *prepared) newShotSim() *shotSim {
+	s := &shotSim{prepared: *p}
+	if p.tab != nil {
+		s.frame = p.tab.NewFrame()
 	} else {
-		s.scratch = sim.MustNew(w.NSlots)
+		s.scratch = sim.MustNew(p.w.NSlots)
+	}
+	if p.denseSampler != nil || p.stabSampler != nil {
+		s.outBuf = make([]uint64, (p.w.NSlots+63)/64)
+		s.keyBuf = make([]byte, p.w.NSlots)
 	}
 	return s
 }
 
-// run executes one trajectory and folds its outcome into pt.
-func (s *shotSim) run(seed int64, shot int64, pt *partial) {
-	r := shotRNG(seed, shot)
+// draw seeds global shot's generator and draws its error events into
+// s.events — the one event stream Simulate and Sample both consume. It adds
+// each channel's hit count to hits (when non-nil) and reports whether an
+// atom was lost. The returned generator continues after the event draws,
+// where Sample's measurement draws begin.
+func (s *shotSim) draw(seed, shot int64, hits []int64) (r rng, lost bool) {
+	r = shotRNG(seed, shot)
 	s.events = s.events[:0]
-	lost := false
 	for ci := range s.mo.Channels {
 		c := &s.mo.Channels[ci]
-		hits := s.sampleChannel(&r, c)
-		if hits == 0 {
+		n := s.sampleChannel(&r, c)
+		if n == 0 {
 			continue
 		}
-		pt.events[ci] += int64(hits)
+		if hits != nil {
+			hits[ci] += int64(n)
+		}
 		if c.Kind == Loss {
 			lost = true
 		}
 	}
+	return r, lost
+}
+
+// run executes one trajectory and folds its outcome into pt.
+func (s *shotSim) run(seed, shot int64, pt *partial) {
+	_, lost := s.draw(seed, shot, pt.events)
+	pt.add(lost, len(s.events) > 0)
 	switch {
-	case len(s.events) == 0 && !lost:
-		pt.survived++
+	case lost:
+		// overlap 0: the register lost an atom
+	case len(s.events) == 0:
 		pt.sumF++
 		pt.sumF2++
-		return
-	case lost:
-		pt.lost++
-		pt.errored++
-		return // overlap 0: the register lost an atom
+	default:
+		f := s.replay()
+		pt.sumF += f
+		pt.sumF2 += f * f
 	}
-	pt.errored++
-	f := s.replay()
-	pt.sumF += f
-	pt.sumF2 += f * f
 }
 
 // sampleChannel draws the channel's Binomial(trials, p) error events via
@@ -530,25 +407,22 @@ var pauliOps = [4]circuit.Op{0, circuit.OpX, circuit.OpY, circuit.OpZ}
 
 // replay scores one errored trajectory: the overlap of the execution with
 // the shot's events injected against the ideal output.
-func (s *shotSim) replay() float64 {
-	if s.tab != nil {
-		return s.replayStab()
-	}
-	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
-	return s.replayDense()
-}
-
-// replayStab accumulates the shot's end-of-circuit Pauli frame and
-// syndrome-checks it against the final tableau's stabilizers: for a Clifford
-// trajectory the overlap is exactly 1 when the accumulated error commutes
-// with every stabilizer and 0 otherwise. Each event contributes its
+//
+// On the stabilizer engine it accumulates the shot's end-of-circuit Pauli
+// frame and syndrome-checks it against the final tableau's stabilizers: for
+// a Clifford trajectory the overlap is exactly 1 when the accumulated error
+// commutes with every stabilizer and 0 otherwise. Each event contributes its
 // precomputed conjugation image (see conjTable), so the replay is O(events)
 // — event order is irrelevant, XOR commutes.
-func (s *shotSim) replayStab() float64 {
-	if s.tab.Disturbs(s.stabFrame()) {
-		return 0
+func (s *shotSim) replay() float64 {
+	if s.tab != nil {
+		if s.tab.Disturbs(s.stabFrame()) {
+			return 0
+		}
+		return 1
 	}
-	return 1
+	s.replayDenseState()
+	return sim.Fidelity(s.scratch, s.ideal)
 }
 
 // stabFrame rebuilds the shot's end-of-circuit Pauli frame from its events.
@@ -561,61 +435,10 @@ func (s *shotSim) stabFrame() *stab.Frame {
 	return f
 }
 
-// replayStabNaive is the pre-table reference implementation — the frame
-// conjugated gate by gate through the witness suffix. Kept for the
-// differential test pinning conjTable to it bit for bit.
-func (s *shotSim) replayStabNaive() float64 {
-	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
-	f := s.frame
-	f.Reset()
-	ei := 0
-	// Gates before the first event act on an identity frame — skip them.
-	for gi := s.events[0].pos; gi <= len(s.w.Gates); gi++ {
-		for ei < len(s.events) && s.events[ei].pos == gi {
-			s.injectEvent(&s.events[ei])
-			ei++
-		}
-		if gi < len(s.w.Gates) {
-			f.Conjugate(s.w.Gates[gi])
-		}
-	}
-	if s.tab.Disturbs(f) {
-		return 0
-	}
-	return 1
-}
-
-// injectEvent multiplies one sampled error into the Pauli frame.
-func (s *shotSim) injectEvent(e *event) {
-	inject := func(q, p int) {
-		switch p {
-		case 1:
-			s.frame.InjectX(q)
-		case 2:
-			s.frame.InjectY(q)
-		case 3:
-			s.frame.InjectZ(q)
-		}
-	}
-	switch e.kind {
-	case Pauli2Q:
-		inject(e.q0, e.pauli&3)
-		inject(e.q1, e.pauli>>2)
-	default: // Pauli1Q, Dephase
-		inject(e.q0, e.pauli&3)
-	}
-}
-
-// replayDense re-executes the witness in the dense simulator with the
-// shot's events injected and returns the overlap with the ideal output.
-func (s *shotSim) replayDense() float64 {
-	s.replayDenseState()
-	return sim.Fidelity(s.scratch, s.ideal)
-}
-
-// replayDenseState re-executes the witness with the shot's events injected
-// (events sorted by pos), leaving the errored final state in s.scratch.
+// replayDenseState re-executes the witness with the shot's events injected,
+// leaving the errored final state in s.scratch.
 func (s *shotSim) replayDenseState() {
+	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
 	st := s.scratch
 	for i := range st.Amp {
 		st.Amp[i] = 0

@@ -286,7 +286,7 @@ type shotSim struct {
 	scratch *sim.State
 	frame   *stab.Frame
 
-	outBuf []uint64 // qubit-packed outcome scratch (stab sampling)
+	outBuf []uint64 // qubit-packed outcome scratch
 	keyBuf []byte   // rendered bitstring scratch, one byte per slot
 }
 

@@ -20,8 +20,9 @@ import (
 
 // benchRecord is the committed perf-trajectory record (BENCH_NNNN.json): the
 // same workloads the repo's Go benchmarks run (BenchmarkTab2Compile,
-// BenchmarkBackends, BenchmarkNoisyShots), measured directly so the numbers
-// can be serialized with machine context and compared across PRs.
+// BenchmarkBackends, BenchmarkNoisyShots, BenchmarkStabTrajectory,
+// BenchmarkSample), measured directly so the numbers can be serialized with
+// machine context and compared across PRs.
 type benchRecord struct {
 	RecordedAt string `json:"recordedAt"`
 	GoVersion  string `json:"goVersion"`
@@ -128,7 +129,7 @@ func bestOf(n int, fn func() error) (float64, error) {
 	return best, nil
 }
 
-// runBenchRecord measures the three tracked workloads and writes the JSON
+// runBenchRecord measures the five tracked workloads and writes the JSON
 // record to path. baseline (seconds, 0 = none) is the pre-change Tab2 number
 // to diff against; the run fails loudly if overhead exceeds 2%.
 func runBenchRecord(path string, baseline float64) error {

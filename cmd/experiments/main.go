@@ -33,7 +33,7 @@ func main() {
 		useSvc  = flag.Bool("service", false, "run Atomique compiles through the compile service's batch path (content-addressed cache dedupes repeated sweeps)")
 		workers = flag.Int("workers", 0, "service worker pool size (with -service; 0 = GOMAXPROCS)")
 
-		benchRecordPath = flag.String("bench-record", "", "measure the tracked benchmark workloads (Tab2 compile, per-backend compile, noisy-shot throughput), write the JSON perf record to this file, and exit")
+		benchRecordPath = flag.String("bench-record", "", "measure the tracked benchmark workloads (Tab2 compile, per-backend compile, noisy-shot throughput, stabilizer trajectory throughput, sampling throughput), write the JSON perf record to this file, and exit")
 		benchBaseline   = flag.String("bench-baseline", "", "pre-change Tab2 baseline to diff against in -bench-record: seconds/op, a BENCH_*.json file, or a directory holding BENCH_*.json records (latest wins); empty = none; >2% regression fails the run")
 	)
 	flag.Parse()

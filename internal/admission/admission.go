@@ -277,11 +277,13 @@ func (c *Controller) loop() {
 			return
 		case <-ticker.C:
 			tick := c.step(c.sampler.AdmissionSample())
-			c.gate.Store(&tick)
-			c.actuator.SetWorkerTarget(tick.Target)
+			// Observe before publishing the gate, so a submission shed by
+			// this tick never outruns the tick's exported record.
 			if c.observer != nil {
 				c.observer(tick)
 			}
+			c.gate.Store(&tick)
+			c.actuator.SetWorkerTarget(tick.Target)
 		}
 	}
 }

@@ -283,12 +283,13 @@ func New(cfg Config, totals TotalsFunc, opts ...Option) *Engine {
 	return e
 }
 
-// Start begins periodic evaluation (one immediate tick, then every
-// interval). Stop terminates it.
+// Start begins periodic evaluation: one tick before it returns, so the
+// burn-rate baseline predates any traffic the caller sends next, then one
+// every interval. Stop terminates it.
 func (e *Engine) Start() {
+	e.Tick()
 	go func() {
 		defer close(e.done)
-		e.Tick()
 		t := time.NewTicker(time.Duration(e.cfg.IntervalSeconds * float64(time.Second)))
 		defer t.Stop()
 		for {

@@ -303,7 +303,7 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// job already admitted — nobody will read the results.
 	abandon := func() {
 		for _, j := range jobs {
-			j.cancel()
+			e.cancelJob(j) //nolint:errcheck // finished jobs need no cancel
 		}
 	}
 	for _, t := range tasks {
@@ -317,11 +317,9 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := batchResponse{Jobs: make([]*Job, len(jobs))}
 	for i, j := range jobs {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
+		if err := e.await(r.Context(), j); err != nil {
 			abandon()
-			writeError(w, r.Context().Err())
+			writeError(w, err)
 			return
 		}
 		resp.Jobs[i] = e.snapshot(j)

@@ -142,6 +142,12 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Errorf("unknown benchmark status = %d, want 400", resp.StatusCode)
 	}
 
+	// Oversized machine override: 400 from resolve, before any allocation.
+	resp, body = postJSON(t, srv.URL+"/v1/compile", Request{Benchmark: "H2-4", AODs: 16777216})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trap sites") {
+		t.Errorf("oversized override: status = %d, body %s; want 400 naming the site bound", resp.StatusCode, body)
+	}
+
 	// Unknown fields: 400 (catches client typos like "benchmrk").
 	resp2, err := http.Post(srv.URL+"/v1/compile", "application/json", strings.NewReader(`{"benchmrk":"H2-4"}`))
 	if err != nil {

@@ -53,22 +53,23 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestFpMemoBounded: the fingerprint memo must evict once past its capacity
-// instead of pinning every circuit ever submitted, and stay stable for
-// repeated lookups of a live pointer.
+// TestFpMemoBounded: the fingerprint memo (the generic LRU keyed by circuit
+// pointer) must evict once past its capacity instead of pinning every
+// circuit ever submitted, and stay stable for repeated lookups of a live
+// pointer.
 func TestFpMemoBounded(t *testing.T) {
-	var m fpMemo
-	m.init(8)
+	m := newLRUCache[*circuit.Circuit, string](8)
+	fingerprint := func(c *circuit.Circuit) string { return m.memo(c, (*circuit.Circuit).Fingerprint) }
 	keep := circuit.New(2)
 	keep.H(0)
-	first := m.fingerprint(keep)
+	first := fingerprint(keep)
 	for i := 0; i < 64; i++ {
 		c := circuit.New(2)
 		c.H(0)
 		c.RZ(1, float64(i))
-		m.fingerprint(c)
+		fingerprint(c)
 		// Touch the kept circuit so LRU retains it through the churn.
-		if got := m.fingerprint(keep); got != first {
+		if got := fingerprint(keep); got != first {
 			t.Fatalf("fingerprint changed for same circuit: %q != %q", got, first)
 		}
 	}

@@ -116,12 +116,9 @@ func (e *Engine) serveSampleStream(w http.ResponseWriter, r *http.Request, req R
 		writeError(w, err)
 		return
 	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		// Client gone: cancel the job so the worker stops sampling, then
+	if e.await(ctx, j) != nil {
+		// Client gone: the job is cancelled, so the worker stops sampling;
 		// wait for it to actually finish before touching the writer again.
-		j.cancel()
 		<-j.done
 	}
 	jv := e.snapshot(j)

@@ -271,7 +271,7 @@ type Job struct {
 }
 
 // task is a fully resolved compilation: inputs plus the content-addressed
-// cache key.
+// cache key. newTask builds every task, so backend is never nil.
 type task struct {
 	label   string // benchmark name or request label, informational only
 	hash    string // circuit fingerprint
@@ -408,8 +408,12 @@ type Engine struct {
 	cfg Config
 	// queues are the bounded per-priority job queues, indexed by
 	// admission.Priority; workers drain interactive strictly first.
-	queues  [2]chan *job
-	cache   *lruCache
+	queues [2]chan *job
+	cache  *lruCache[string, *outcome]
+	// fpMemo memoises fingerprints by circuit pointer for circuits that are
+	// immutable once submitted: the registry benchmarks, and the few circuit
+	// objects in-process callers resubmit thousands of times.
+	fpMemo  *lruCache[*circuit.Circuit, string]
 	compile compileFunc
 	// tel bundles the engine's observability surface: metrics registry
 	// (GET /metrics), finished-trace ring (GET /v1/traces), and logger.
@@ -421,8 +425,9 @@ type Engine struct {
 	// admission controller's saturation model fits.
 	busySeconds obs.Counter
 	executed    atomic.Uint64
-	// panics counts recovered backend panics (atomique_panics_total).
-	panics atomic.Uint64
+	// passRuns counts executed compilations that reported pass timings
+	// (the /v1/stats PassRuns field; no metric series mirrors it).
+	passRuns atomic.Uint64
 
 	// poolMu guards quits, the adaptive pool's per-worker retirement
 	// channels; closing one retires that worker after its current job.
@@ -439,8 +444,6 @@ type Engine struct {
 	// recorder behind GET /v1/debug/bundles (nil when Bundles.Dir is unset).
 	slo      *slo.Engine
 	recorder *obs.Recorder
-	// shedByClass counts admission sheds per priority class.
-	shedByClass [2]atomic.Uint64
 
 	// benchInfos is the /v1/benchmarks payload, computed once at engine
 	// construction (the registry is immutable after init).
@@ -459,27 +462,16 @@ type Engine struct {
 	closeMu  sync.RWMutex
 	inFlight sync.WaitGroup
 
-	submitted, completed, failed, cancelled, rejected atomic.Uint64
-	hits, misses                                      atomic.Uint64
-
-	// passMu guards the per-pass instrumentation aggregated from every
-	// executed (non-cached) compilation's metrics.Passes.
-	passMu      sync.Mutex
-	passSeconds map[string]float64
-	passRuns    uint64
-
 	mu       sync.Mutex
 	jobs     map[string]*job
 	finished []string // FIFO of finished job IDs, for pruning
-
-	// fpMemo caches circuit fingerprints for CompileMetrics, keyed by
-	// circuit pointer: in-process callers (the experiments batch path)
-	// resubmit the same few circuit objects thousands of times, and those
-	// circuits must be treated as immutable once submitted. Bounded (LRU)
-	// so long-running callers streaming fresh circuits cannot grow it
-	// without limit.
-	fpMemo fpMemo
 }
+
+// fpMemoLimit bounds the fingerprint memo. Each entry is a pointer and a
+// 64-hex string; the limit exists because long-running in-process callers
+// submitting a stream of fresh circuits would otherwise grow the memo (and
+// pin the circuits themselves) without bound.
+const fpMemoLimit = 512
 
 // New starts an engine with cfg's worker pool running.
 func New(cfg Config) *Engine { return newEngine(cfg, defaultCompile) }
@@ -490,19 +482,18 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 	cfg = cfg.withDefaults()
 	ctx, stop := context.WithCancel(context.Background())
 	e := &Engine{
-		cfg:         cfg,
-		cache:       newLRUCache(cfg.CacheSize),
-		compile:     fn,
-		ctx:         ctx,
-		stop:        stop,
-		start:       time.Now(),
-		jobs:        make(map[string]*job),
-		passSeconds: make(map[string]float64),
+		cfg:     cfg,
+		cache:   newLRUCache[string, *outcome](cfg.CacheSize),
+		fpMemo:  newLRUCache[*circuit.Circuit, string](fpMemoLimit),
+		compile: fn,
+		ctx:     ctx,
+		stop:    stop,
+		start:   time.Now(),
+		jobs:    make(map[string]*job),
 	}
 	for i := range e.queues {
 		e.queues[i] = make(chan *job, cfg.QueueSize)
 	}
-	e.fpMemo.init(fpMemoLimit)
 	e.tel = newTelemetry(e, cfg.Logger, cfg.TraceBuffer)
 	e.tel.traces.SetSampleRate(cfg.TraceSample)
 	e.benchInfos = computeBenchmarkInfos()
@@ -526,18 +517,6 @@ func newEngine(cfg Config, fn compileFunc) *Engine {
 	}
 	e.startSLO()
 	return e
-}
-
-// beginSubmit admits a submission while the engine is open. On success the
-// caller must call e.inFlight.Done() once its enqueue attempt is over.
-func (e *Engine) beginSubmit() bool {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return false
-	}
-	e.inFlight.Add(1)
-	return true
 }
 
 // Close stops the admission controller and the workers, cancels running
@@ -579,11 +558,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// benchFingerprints memoises circuit fingerprints for the immutable registry
-// benchmarks, keyed by canonical name; hashing tens of thousands of gates per
-// request would weigh on the same hot path the registry cache optimises.
-var benchFingerprints sync.Map
-
 // resolve turns a Request into a runnable task, reporting client errors as
 // *RequestError.
 func (e *Engine) resolve(req Request) (task, error) {
@@ -600,12 +574,10 @@ func (e *Engine) resolve(req Request) (task, error) {
 		}
 		circ = b.Circ
 		label = b.Name
-		if fp, ok := benchFingerprints.Load(b.Name); ok {
-			hash = fp.(string)
-		} else {
-			hash = circ.Fingerprint()
-			benchFingerprints.Store(b.Name, hash)
-		}
+		// Registry circuits are shared immutable singletons, so the
+		// pointer-keyed memo spares hashing tens of thousands of gates per
+		// request.
+		hash = e.fpMemo.memo(circ, (*circuit.Circuit).Fingerprint)
 	case req.QASM != "":
 		parsed, err := qasm.ParseString(req.QASM)
 		if err != nil {
@@ -723,6 +695,13 @@ func (e *Engine) resolve(req Request) (task, error) {
 		return task{}, &RequestError{Msg: err.Error()}
 	}
 
+	return newTask(label, prio, be, tgt, circ, hash, opts), nil
+}
+
+// newTask assembles a runnable task from its compile inputs, deriving the
+// content-addressed cache key and the request class from them.
+func newTask(label string, prio admission.Priority, be compiler.Backend, tgt compiler.Target,
+	circ *circuit.Circuit, hash string, opts compiler.Options) task {
 	return task{
 		label:   label,
 		hash:    hash,
@@ -733,7 +712,7 @@ func (e *Engine) resolve(req Request) (task, error) {
 		target:  tgt,
 		circ:    circ,
 		opts:    opts,
-	}, nil
+	}
 }
 
 // resolveTarget builds the device description a request compiles against:
@@ -796,6 +775,10 @@ func (e *Engine) resolveTarget(be compiler.Backend, req Request, circ *circuit.C
 			if req.AODs > 0 {
 				aods = req.AODs
 			}
+			if !machineWithinBound(slmSpec, aodSpec, aods) {
+				return compiler.Target{}, &RequestError{Msg: fmt.Sprintf(
+					"machine override exceeds %d trap sites (slm*slm + aods*aodSize*aodSize)", maxMachineSites)}
+			}
 			cfg = hardware.Config{SLM: slmSpec, Params: cfg.Params}
 			for i := 0; i < aods; i++ {
 				cfg.AODs = append(cfg.AODs, aodSpec)
@@ -832,6 +815,26 @@ func (e *Engine) resolveTarget(be compiler.Backend, req Request, circ *circuit.C
 	}
 }
 
+// maxMachineSites bounds the trap sites (SLM plus every AOD) of a
+// per-request machine override: a 256x256 SLM's worth, far beyond the
+// paper's 10x10 + 2x(10x10) default. It is checked before the override is
+// built, so an absurd aods or aodSize cannot make resolve allocate one spec
+// per array on the request goroutine, nor reach a backend's site tables.
+const maxMachineSites = 1 << 16
+
+// machineWithinBound reports whether an SLM of slm plus aods arrays of aod
+// stays within maxMachineSites, without overflowing on any non-negative
+// input. Each AOD counts as at least one site, which also bounds the array
+// count when the default machine has no AOD to copy.
+func machineWithinBound(slm, aod hardware.ArraySpec, aods int) bool {
+	within := func(a, b, limit int) bool { return a == 0 || b <= limit/a }
+	if !within(slm.Rows, slm.Cols, maxMachineSites) || !within(aod.Rows, aod.Cols, maxMachineSites) {
+		return false
+	}
+	budget := maxMachineSites - slm.Rows*slm.Cols
+	return within(aods, max(aod.Rows*aod.Cols, 1), budget)
+}
+
 // cacheKey derives the content-addressed key: backend name and circuit
 // fingerprint plus the canonical JSON of the target and compile options
 // (which include the seed). Deterministic struct-field order makes the key
@@ -860,9 +863,7 @@ func (e *Engine) newJob(callerCtx context.Context, t task) *job {
 	tr := obs.NewTrace(obs.TraceIDFromContext(callerCtx), "job")
 	tr.Root.SetAttr("class", t.class)
 	tr.Root.SetAttr("benchmark", t.label)
-	if t.backend != nil {
-		tr.Root.SetAttr("backend", t.backend.Name())
-	}
+	tr.Root.SetAttr("backend", t.backend.Name())
 	ctx, cancel := context.WithCancel(obs.ContextWithSpan(e.ctx, tr.Root))
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", e.seq.Add(1)),
@@ -902,94 +903,94 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 // gate, fail-fast. The streaming sample handler uses it directly so it can
 // attach its emit callback to the task before submission.
 func (e *Engine) submitResolved(ctx context.Context, t task) (*job, error) {
-	if !e.beginSubmit() {
-		return nil, ErrClosed
-	}
-	defer e.inFlight.Done()
-	// Admission gate: shed before the queue saturates. No job is minted for
-	// a shed, but a minimal root-only trace is pinned into the ring's
-	// reserved segment — shed storms are exactly the traffic a diagnostic
-	// bundle needs to show, and a storm of successes must not evict them.
-	if dec := e.admit(t.prio); !dec.Admit {
-		e.rejected.Add(1)
-		e.shedByClass[t.prio].Add(1)
-		e.tel.admissionDecisions.With(t.prio.String(), admissionShed).Inc()
-		e.tel.requests.With(backendLabel(t), t.class, outcomeRejected).Inc()
-		tr := obs.NewTrace(obs.TraceIDFromContext(ctx), "shed")
-		tr.Root.SetAttr("state", "shed")
-		tr.Root.SetAttr("backend", backendLabel(t))
-		tr.Root.SetAttr("class", t.class)
-		tr.Root.SetAttr("priority", t.prio.String())
-		tr.Root.SetAttr("benchmark", t.label)
-		tr.Root.SetAttr("reason", dec.Reason)
-		tr.Root.SetAttr("retryAfterSeconds", strconv.FormatFloat(dec.RetryAfter.Seconds(), 'g', 4, 64))
-		tr.Root.End()
-		e.tel.traces.AddPinned(tr)
-		e.tel.log.Warn("job shed by admission control",
-			"backend", backendLabel(t), "class", t.class, "priority", t.prio.String(),
-			"benchmark", t.label, "retryAfter", dec.RetryAfter.Seconds())
-		return nil, &OverloadedError{RetryAfter: dec.RetryAfter, Reason: dec.Reason}
-	}
-	j := e.newJob(ctx, t)
-	select {
-	case e.queues[t.prio] <- j:
-		e.submitted.Add(1)
-		e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
-		e.logJob(j, "job queued")
-		return j, nil
-	default:
-		e.rejected.Add(1)
-		e.tel.admissionDecisions.With(t.prio.String(), admissionQueueFull).Inc()
-		e.tel.requests.With(backendLabel(t), t.class, outcomeRejected).Inc()
-		e.tel.log.Warn("job rejected: queue full",
-			"backend", backendLabel(t), "class", t.class, "priority", t.prio.String(),
-			"benchmark", t.label)
-		e.dropJob(j, "rejected")
-		return nil, &OverloadedError{RetryAfter: e.retryAfterEstimate(),
-			Reason: t.prio.String() + " queue full", QueueFull: true}
-	}
-}
-
-// backendLabel names a task's backend for metric labels.
-func backendLabel(t task) string {
-	if t.backend == nil {
-		return "unknown"
-	}
-	return t.backend.Name()
-}
-
-// logJob emits one structured lifecycle event correlated by trace ID.
-func (e *Engine) logJob(j *job, msg string, extra ...any) {
-	args := append([]any{
-		"job", j.id, "traceId", j.trace.ID,
-		"backend", backendLabel(j.task), "class", j.task.class,
-		"benchmark", j.task.label,
-	}, extra...)
-	e.tel.log.Info(msg, args...)
+	return e.enqueue(ctx, t, false)
 }
 
 // submitBlocking enqueues a job, waiting for queue space until ctx or the
 // engine is done. The batch endpoint and in-process callers use it so a
 // burst larger than the queue is flow-controlled instead of rejected.
 func (e *Engine) submitBlocking(ctx context.Context, t task) (*job, error) {
-	if !e.beginSubmit() {
+	return e.enqueue(ctx, t, true)
+}
+
+// enqueue registers a job for t and offers it to its priority queue. A
+// fail-fast submission (block unset) first passes the admission gate and is
+// rejected when its queue is full; a blocking one waits for queue space.
+func (e *Engine) enqueue(ctx context.Context, t task, block bool) (*job, error) {
+	e.closeMu.RLock()
+	if e.closed.Load() {
+		e.closeMu.RUnlock()
 		return nil, ErrClosed
 	}
+	e.inFlight.Add(1)
+	e.closeMu.RUnlock()
 	defer e.inFlight.Done()
+	if !block {
+		if dec := e.admit(t.prio); !dec.Admit {
+			return nil, e.shed(ctx, t, dec)
+		}
+	}
 	j := e.newJob(ctx, t)
 	select {
 	case e.queues[t.prio] <- j:
-		e.submitted.Add(1)
-		e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
-		e.logJob(j, "job queued")
-		return j, nil
-	case <-ctx.Done():
-		e.dropJob(j, "abandoned")
-		return nil, ctx.Err()
-	case <-e.ctx.Done():
-		e.dropJob(j, "closed")
-		return nil, ErrClosed
+	default:
+		if !block {
+			e.reject(t, admissionQueueFull, "job rejected: queue full")
+			e.dropJob(j, "rejected")
+			return nil, &OverloadedError{RetryAfter: e.retryAfterEstimate(),
+				Reason: t.prio.String() + " queue full", QueueFull: true}
+		}
+		select {
+		case e.queues[t.prio] <- j:
+		case <-ctx.Done():
+			e.dropJob(j, "abandoned")
+			return nil, ctx.Err()
+		case <-e.ctx.Done():
+			e.dropJob(j, "closed")
+			return nil, ErrClosed
+		}
 	}
+	e.tel.admissionDecisions.With(t.prio.String(), admissionAdmitted).Inc()
+	e.logJob(j, "job queued")
+	return j, nil
+}
+
+// shed counts and logs an admission shed and returns its error. No job is
+// minted for a shed, but a minimal root-only trace is pinned into the ring's
+// reserved segment — shed storms are exactly the traffic a diagnostic bundle
+// needs to show, and a storm of successes must not evict them.
+func (e *Engine) shed(ctx context.Context, t task, dec admission.Decision) error {
+	e.reject(t, admissionShed, "job shed by admission control", "retryAfter", dec.RetryAfter.Seconds())
+	tr := obs.NewTrace(obs.TraceIDFromContext(ctx), "shed")
+	tr.Root.SetAttr("state", "shed")
+	tr.Root.SetAttr("backend", t.backend.Name())
+	tr.Root.SetAttr("class", t.class)
+	tr.Root.SetAttr("priority", t.prio.String())
+	tr.Root.SetAttr("benchmark", t.label)
+	tr.Root.SetAttr("reason", dec.Reason)
+	tr.Root.SetAttr("retryAfterSeconds", strconv.FormatFloat(dec.RetryAfter.Seconds(), 'g', 4, 64))
+	tr.Root.End()
+	e.tel.traces.AddPinned(tr)
+	return &OverloadedError{RetryAfter: dec.RetryAfter, Reason: dec.Reason}
+}
+
+// reject counts a fail-fast rejection (an admission shed or a full queue)
+// under its admission decision and as a rejected request, and logs it.
+func (e *Engine) reject(t task, decision, msg string, extra ...any) {
+	e.tel.admissionDecisions.With(t.prio.String(), decision).Inc()
+	e.tel.requests.With(t.backend.Name(), t.class, outcomeRejected).Inc()
+	e.tel.log.Warn(msg, append([]any{"backend", t.backend.Name(), "class", t.class,
+		"priority", t.prio.String(), "benchmark", t.label}, extra...)...)
+}
+
+// logJob emits one structured lifecycle event correlated by trace ID.
+func (e *Engine) logJob(j *job, msg string, extra ...any) {
+	args := append([]any{
+		"job", j.id, "traceId", j.trace.ID,
+		"backend", j.task.backend.Name(), "class", j.task.class,
+		"benchmark", j.task.label,
+	}, extra...)
+	e.tel.log.Info(msg, args...)
 }
 
 // dropJob unregisters a job that never entered a queue, closing out its
@@ -1005,36 +1006,33 @@ func (e *Engine) dropJob(j *job, state string) {
 	e.mu.Unlock()
 }
 
-// Wait blocks until the job finishes (or ctx is done) and returns its final
-// snapshot.
-func (e *Engine) Wait(ctx context.Context, id string) (*Job, error) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("service: unknown job %q", id)
-	}
-	select {
-	case <-j.done:
-		return e.snapshot(j), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Compile is the synchronous path: resolve, enqueue (fail-fast), wait. If
+// Compile is the synchronous path: resolve, enqueue (fail-fast), await. If
 // the caller gives up before completion, the job is cancelled.
 func (e *Engine) Compile(ctx context.Context, req Request) (*Job, error) {
-	jv, err := e.Submit(ctx, req)
+	t, err := e.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	j, err := e.Wait(ctx, jv.ID)
+	j, err := e.submitResolved(ctx, t)
 	if err != nil {
-		e.Cancel(jv.ID) //nolint:errcheck // best-effort cleanup
 		return nil, err
 	}
-	return j, nil
+	if err := e.await(ctx, j); err != nil {
+		return nil, err
+	}
+	return e.snapshot(j), nil
+}
+
+// await blocks until j finishes or ctx is done. A caller that gives up
+// cancels the job the way Cancel does and gets ctx.Err().
+func (e *Engine) await(ctx context.Context, j *job) error {
+	select {
+	case <-j.done:
+		return nil
+	case <-ctx.Done():
+		e.cancelJob(j) //nolint:errcheck // a job that finished meanwhile needs no cancel
+		return ctx.Err()
+	}
 }
 
 // CompileMetrics is the in-process batch path: it runs one compilation of
@@ -1048,28 +1046,20 @@ func (e *Engine) CompileMetrics(ctx context.Context, cfg hardware.Config, circ *
 	if !ok {
 		return metrics.Compiled{}, fmt.Errorf("service: default backend %q not registered", DefaultBackend)
 	}
-	hash := e.fpMemo.fingerprint(circ)
-	tgt := compiler.FPQA(cfg)
-	t := task{label: "in-process", hash: hash, key: cacheKey(be.Name(), hash, tgt, opts),
-		class: classOf(opts), prio: admission.Batch,
-		backend: be, target: tgt, circ: circ, opts: opts}
+	t := newTask("in-process", admission.Batch, be, compiler.FPQA(cfg), circ,
+		e.fpMemo.memo(circ, (*circuit.Circuit).Fingerprint), opts)
 	j, err := e.submitBlocking(ctx, t)
 	if err != nil {
 		return metrics.Compiled{}, err
 	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		j.cancel()
-		return metrics.Compiled{}, ctx.Err()
+	if err := e.await(ctx, j); err != nil {
+		return metrics.Compiled{}, err
 	}
-	j.mu.Lock()
-	out := j.out
-	j.mu.Unlock()
-	if out.err != nil {
-		return metrics.Compiled{}, out.err
+	// finish wrote j.out before closing j.done and never writes it again.
+	if j.out.err != nil {
+		return metrics.Compiled{}, j.out.err
 	}
-	return out.metrics, nil
+	return j.out.metrics, nil
 }
 
 // JobByID returns a job snapshot.
@@ -1092,40 +1082,45 @@ func (e *Engine) Cancel(id string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	j.mu.Lock()
-	terminal := j.finalized
-	state := j.state
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if terminal {
-		return true, fmt.Errorf("service: job %s already %s", id, state)
-	}
-	j.cancel()
-	if queued {
-		// Finish immediately so the caller observes "cancelled" rather than
-		// a stale "queued"; the worker that later pops the job finds it
-		// finalized and skips it.
-		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", context.Canceled)}, false)
-	}
-	return true, nil
+	return true, e.cancelJob(j)
 }
 
-// Stats returns a consistent snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	e.passMu.Lock()
-	passSeconds := make(map[string]float64, len(e.passSeconds))
-	for k, v := range e.passSeconds {
-		passSeconds[k] = v
+// cancelJob cancels j's context and, when j is still queued, finishes it at
+// once so callers observe "cancelled" rather than a stale "queued"; the
+// worker that later pops it finds it finalized and skips it. A running job
+// finishes when its backend observes the cancellation. The context is
+// cancelled before the state is read, and run checks the context under the
+// lock it marks the job running with, so a job finished here never runs.
+func (e *Engine) cancelJob(j *job) error {
+	j.cancel()
+	j.mu.Lock()
+	finalized, state := j.finalized, j.state
+	j.mu.Unlock()
+	if finalized {
+		return fmt.Errorf("service: job %s already %s", j.id, state)
 	}
-	passRuns := e.passRuns
-	e.passMu.Unlock()
+	if state == StateQueued {
+		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", context.Canceled)}, false)
+	}
+	return nil
+}
+
+// Stats returns a snapshot of the engine state. Its request, cache,
+// admission, panic and pass counters are read from the metrics registry, so
+// /v1/stats and GET /metrics always report the same totals.
+func (e *Engine) Stats() Stats {
+	passSeconds := make(map[string]float64)
+	e.tel.passSeconds.Each(func(labels []string, c *obs.Counter) {
+		passSeconds[labels[0]] = c.Value()
+	})
 	latencies := make(map[string]obs.Quantiles)
 	e.tel.latency.Each(func(labels []string, h *obs.Histogram) {
 		latencies[labels[0]+"/"+labels[1]] = h.Quantiles()
 	})
+	requests, decisions := e.tel.requests, e.tel.admissionDecisions
 	st := Stats{
 		PassSeconds:           passSeconds,
-		PassRuns:              passRuns,
+		PassRuns:              e.passRuns.Load(),
 		Latencies:             latencies,
 		Workers:               int(e.workersLive.Load()),
 		WorkersBusy:           int(e.busy.Load()),
@@ -1135,14 +1130,14 @@ func (e *Engine) Stats() Stats {
 		QueueCapacity:         e.cfg.QueueSize,
 		QueueDepthInteractive: len(e.queues[admission.Interactive]),
 		QueueDepthBatch:       len(e.queues[admission.Batch]),
-		Submitted:             e.submitted.Load(),
-		Completed:             e.completed.Load(),
-		Failed:                e.failed.Load(),
-		Cancelled:             e.cancelled.Load(),
-		Rejected:              e.rejected.Load(),
-		Panics:                e.panics.Load(),
-		CacheHits:             e.hits.Load(),
-		CacheMisses:           e.misses.Load(),
+		Submitted:             counterTotal(decisions, "", admissionAdmitted),
+		Completed:             counterTotal(requests, "", "", outcomeDone),
+		Failed:                counterTotal(requests, "", "", outcomeFailed),
+		Cancelled:             counterTotal(requests, "", "", outcomeCancelled),
+		Rejected:              counterTotal(requests, "", "", outcomeRejected),
+		Panics:                uint64(e.tel.panicsTotal.Value()),
+		CacheHits:             counterTotal(e.tel.cacheEvents, cacheHit),
+		CacheMisses:           counterTotal(e.tel.cacheEvents, cacheMiss),
 		CacheEntries:          e.cache.len(),
 		UptimeSeconds:         time.Since(e.start).Seconds(),
 		Traces:                e.tel.traces.Stats(),
@@ -1167,8 +1162,8 @@ func (e *Engine) Stats() Stats {
 			Saturation:                      t.Saturation,
 			ShedInteractive:                 t.ShedInteractive,
 			ShedBatch:                       t.ShedBatch,
-			ShedInteractiveTotal:            e.shedByClass[admission.Interactive].Load(),
-			ShedBatchTotal:                  e.shedByClass[admission.Batch].Load(),
+			ShedInteractiveTotal:            counterTotal(decisions, admission.Interactive.String(), admissionShed),
+			ShedBatchTotal:                  counterTotal(decisions, admission.Batch.String(), admissionShed),
 		}
 	}
 	return st
@@ -1176,17 +1171,19 @@ func (e *Engine) Stats() Stats {
 
 // run executes one job: skip if already cancelled, then compute through the
 // cache (coalescing with any in-flight identical computation). The busy
-// gauge and service-time accounting are released by defer, and a panic that
-// escapes the backend-level recovery in execute (engine bookkeeping, not
-// backend code) still fails only this job — the worker survives.
+// gauge and service-time accounting are released before the job finishes,
+// so a caller that sees the job done also sees its worker idle, and a panic
+// that escapes the backend-level recovery in execute (engine bookkeeping,
+// not backend code) still fails only this job — the worker survives.
 func (e *Engine) run(j *job) {
-	if j.ctx.Err() != nil {
-		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", j.ctx.Err())}, false)
-		return
-	}
 	j.mu.Lock()
 	if j.finalized {
 		j.mu.Unlock()
+		return
+	}
+	if err := j.ctx.Err(); err != nil {
+		j.mu.Unlock()
+		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", err)}, false)
 		return
 	}
 	j.state = StateRunning
@@ -1196,17 +1193,19 @@ func (e *Engine) run(j *job) {
 	j.trace.Root.Record("queue.wait", j.submitted, waited)
 	e.busy.Add(1)
 	start := time.Now()
+	var out *outcome
+	var cached bool
 	defer func() {
 		e.busy.Add(-1)
 		e.busySeconds.Add(time.Since(start).Seconds())
 		e.executed.Add(1)
 		if r := recover(); r != nil {
 			e.recordPanic("worker", r)
-			e.finish(j, &outcome{err: fmt.Errorf("service: worker panic: %v", r)}, false)
+			out, cached = &outcome{err: fmt.Errorf("service: worker panic: %v", r)}, false
 		}
+		e.finish(j, out, cached)
 	}()
-	out, cached := e.compute(j.ctx, j.task)
-	e.finish(j, out, cached)
+	out, cached = e.compute(j.ctx, j.task)
 }
 
 // compute returns the outcome for a task, via the cache when possible. The
@@ -1226,7 +1225,6 @@ func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
 		lookupStart := time.Now()
 		ent, hit := e.cache.getOrReserve(t.key)
 		if !hit {
-			e.misses.Add(1)
 			e.tel.cacheEvents.With(cacheMiss).Inc()
 			if c := sp.Record("cache.lookup", lookupStart, time.Since(lookupStart)); c != nil {
 				c.SetAttr("outcome", cacheMiss)
@@ -1259,11 +1257,10 @@ func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
 		}
 		select {
 		case <-ent.done:
-			out := ent.out
+			out := ent.val
 			if out.err != nil && (errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded)) && ctx.Err() == nil {
 				continue // the owner was cancelled, not us: take over
 			}
-			e.hits.Add(1)
 			e.tel.cacheEvents.With(cacheHit).Inc()
 			return out, true
 		case <-ctx.Done():
@@ -1284,13 +1281,13 @@ func (e *Engine) execute(ctx context.Context, t task) (out *outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			cspan.End()
-			e.recordPanic("backend "+backendLabel(t), r)
-			out = &outcome{err: fmt.Errorf("service: backend %s panicked: %v", backendLabel(t), r)}
+			e.recordPanic("backend "+t.backend.Name(), r)
+			out = &outcome{err: fmt.Errorf("service: backend %s panicked: %v", t.backend.Name(), r)}
 		}
 	}()
 	cctx := ctx
 	if cspan != nil {
-		cspan.SetAttr("backend", backendLabel(t))
+		cspan.SetAttr("backend", t.backend.Name())
 		cctx = obs.ContextWithSpan(ctx, cspan)
 	}
 	res, err := e.compile(cctx, t.backend, t.target, t.circ, t.opts)
@@ -1339,12 +1336,7 @@ func (e *Engine) recordPasses(passes []metrics.PassTiming) {
 	if len(passes) == 0 {
 		return
 	}
-	e.passMu.Lock()
-	e.passRuns++
-	for _, p := range passes {
-		e.passSeconds[p.Name] += p.Seconds
-	}
-	e.passMu.Unlock()
+	e.passRuns.Add(1)
 	for _, p := range passes {
 		e.tel.passSeconds.With(p.Name).Add(p.Seconds)
 		e.tel.passLatency.With(p.Name).Observe(p.Seconds)
@@ -1361,46 +1353,37 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 		return
 	}
 	j.finalized = true
+	outcomeLabel := outcomeDone
 	switch {
 	case out.err == nil:
 		j.state = StateDone
-		e.completed.Add(1)
 	case errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded):
-		j.state = StateCancelled
-		e.cancelled.Add(1)
+		j.state, outcomeLabel = StateCancelled, outcomeCancelled
 	default:
-		j.state = StateFailed
-		e.failed.Add(1)
+		j.state, outcomeLabel = StateFailed, outcomeFailed
 	}
+	// Count the outcome before the terminal state is visible, so whoever
+	// observes the state also finds it in /v1/stats and /metrics.
+	e.tel.requests.With(j.task.backend.Name(), j.task.class, outcomeLabel).Inc()
 	j.out = out
 	j.cached = cached
 	j.finishedAt = time.Now()
 	state := j.state
 	elapsed := j.finishedAt.Sub(j.submitted)
 	j.mu.Unlock()
-	j.cancel() // release the context resources
-	close(j.done)
 
-	// Close out the trace and publish the observability record: outcome
-	// counter, latency histogram (successes only — cancellations would skew
-	// the percentiles the autoscaler feeds on, carrying this job's trace ID
-	// as an OpenMetrics exemplar), trace ring, log line. Retention is
-	// tiered: failures and slow-tail successes (over the class's current
-	// p99, once the histogram has enough mass to trust it) pin into the
-	// ring's reserved segment; ordinary successes take the sampling coin.
-	outcomeLabel := outcomeDone
-	switch state {
-	case StateFailed:
-		outcomeLabel = outcomeFailed
-	case StateCancelled:
-		outcomeLabel = outcomeCancelled
-	}
-	backend := backendLabel(j.task)
+	// The latency histogram (successes only — cancellations would skew the
+	// percentiles the autoscaler feeds on) carries this job's trace ID as an
+	// OpenMetrics exemplar, and is observed before waiters wake for the same
+	// reason as the outcome counter. Trace retention is tiered: failures and
+	// slow-tail successes (over the class's current p99, once the histogram
+	// has enough mass to trust it) pin into the ring's reserved segment;
+	// ordinary successes take the sampling coin.
 	pin := state == StateFailed
 	if state == StateDone {
 		// Snapshot before observing so the job is not compared to a p99 that
 		// already includes it.
-		hist := e.tel.latency.With(backend, j.task.class)
+		hist := e.tel.latency.With(j.task.backend.Name(), j.task.class)
 		if snap := hist.Snapshot(); snap.Count >= slowTailMinSamples &&
 			elapsed.Seconds() > snap.Quantile(0.99) {
 			pin = true
@@ -1408,6 +1391,9 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 		}
 		hist.ObserveExemplar(elapsed.Seconds(), j.trace.ID)
 	}
+	j.cancel() // release the context resources
+	close(j.done)
+
 	j.trace.Root.SetAttr("state", string(state))
 	j.trace.Root.SetAttr("cached", strconv.FormatBool(cached))
 	j.trace.Root.End()
@@ -1416,7 +1402,6 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	} else {
 		e.tel.traces.Add(j.trace)
 	}
-	e.tel.requests.With(backend, j.task.class, outcomeLabel).Inc()
 	if out.err != nil {
 		e.logJob(j, "job finished", "state", state, "seconds", elapsed.Seconds(),
 			"cached", cached, "error", out.err.Error())
@@ -1445,10 +1430,8 @@ func (e *Engine) snapshot(j *job) *Job {
 		Benchmark:   j.task.label,
 		CircuitHash: j.task.hash,
 		Cached:      j.cached,
+		Backend:     j.task.backend.Name(),
 		SubmittedAt: j.submitted,
-	}
-	if j.task.backend != nil {
-		v.Backend = j.task.backend.Name()
 	}
 	if !j.finishedAt.IsZero() {
 		t := j.finishedAt

@@ -136,6 +136,11 @@ func TestResolveErrors(t *testing.T) {
 		{"bad relax", Request{Benchmark: "H2-4", Relax: "1,9"}},
 		{"too many qubits", Request{Benchmark: "QAOA-regu6-100", SLM: 4, AODs: 2, AODSize: 4}},
 		{"negative override", Request{Benchmark: "H2-4", AODs: -1}},
+		{"oversized aods", Request{Benchmark: "H2-4", AODs: 16777216}},
+		{"oversized slm", Request{Benchmark: "H2-4", SLM: 1 << 30}},
+		{"oversized aodSize", Request{Benchmark: "H2-4", AODSize: 1 << 40}},
+		{"overflowing override", Request{Benchmark: "H2-4", SLM: 1 << 32, AODs: 1 << 62, AODSize: 1 << 32}},
+		{"sites just over bound", Request{Benchmark: "H2-4", SLM: 256, AODs: 1, AODSize: 1}},
 		{"bad qasm", Request{QASM: "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];"}},
 	}
 	for _, tc := range cases {
@@ -144,6 +149,11 @@ func TestResolveErrors(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Errorf("%s: err = %v, want *RequestError", tc.name, err)
 		}
+	}
+	// An override just under the site bound (255x255 SLM plus the default
+	// two 10x10 AODs) still resolves.
+	if _, err := e.resolve(Request{Benchmark: "H2-4", SLM: 255}); err != nil {
+		t.Errorf("override under the site bound: %v", err)
 	}
 	// Parse errors carry the source line.
 	_, err := e.Submit(context.Background(), Request{QASM: "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];"})
@@ -410,6 +420,44 @@ func TestJobCancellation(t *testing.T) {
 	}
 	if ok, _ := e.Cancel("job-999999"); ok {
 		t.Error("cancel of unknown job reported found")
+	}
+}
+
+// TestAwaitCancelsQueuedJob: a caller that gives up on a queued job, through
+// Compile or CompileMetrics, cancels it the way Cancel does: the job is
+// finished as cancelled at once instead of waiting in the queue for a worker.
+func TestAwaitCancelsQueuedJob(t *testing.T) {
+	backend := newBlockingBackend()
+	e := newEngine(Config{Workers: 1, QueueSize: 4}, backend.compile)
+	defer e.Close()
+	defer close(backend.release)
+	if _, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-backend.started // the single worker is busy; later jobs stay queued
+	b, ok := bench.ByName("H2-4")
+	if !ok {
+		t.Fatal("benchmark missing")
+	}
+	for i, call := range []func(ctx context.Context) error{
+		func(ctx context.Context) error {
+			_, err := e.Compile(ctx, Request{Benchmark: "H2-4", Seed: 2})
+			return err
+		},
+		func(ctx context.Context) error {
+			_, err := e.CompileMetrics(ctx, hardware.DefaultConfig(), b.Circ, compiler.Options{Seed: 3})
+			return err
+		},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		err := call(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: err = %v, want deadline exceeded", i, err)
+		}
+		if st := e.Stats(); st.Cancelled != uint64(i+1) {
+			t.Errorf("call %d: cancelled = %d, want %d while the worker is still busy", i, st.Cancelled, i+1)
+		}
 	}
 }
 

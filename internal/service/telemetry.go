@@ -65,9 +65,9 @@ type telemetry struct {
 	queueWait *obs.Histogram
 	// cacheEvents counts hit/miss/coalesce on the result cache.
 	cacheEvents *obs.CounterVec
-	// passSeconds accumulates per-pass compile seconds (the /v1/stats
-	// PassSeconds map, as a scrapeable counter); passLatency is the same
-	// signal as a histogram for per-pass percentiles.
+	// passSeconds accumulates per-pass compile seconds (also the /v1/stats
+	// PassSeconds map); passLatency is the same signal as a histogram for
+	// per-pass percentiles.
 	passSeconds *obs.CounterVec
 	passLatency *obs.HistogramVec
 	// shots counts trajectory shots executed (throughput via rate()).
@@ -214,4 +214,21 @@ func classOf(opts compiler.Options) string {
 	default:
 		return ClassCompile
 	}
+}
+
+// counterTotal sums v's series whose label values match want position by
+// position; an empty want entry matches any value. /v1/stats and the
+// admission sampler read their counts this way, so they cannot drift from
+// the /metrics series.
+func counterTotal(v *obs.CounterVec, want ...string) uint64 {
+	var sum float64
+	v.Each(func(labels []string, c *obs.Counter) {
+		for i, w := range want {
+			if w != "" && labels[i] != w {
+				return
+			}
+		}
+		sum += c.Value()
+	})
+	return uint64(sum)
 }

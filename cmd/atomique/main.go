@@ -92,9 +92,7 @@ func main() {
 
 	backend, ok := compiler.Lookup(*backendName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "atomique: unknown backend %q (registered: %v)\n",
-			*backendName, compiler.Names())
-		os.Exit(1)
+		fatalf("unknown backend %q (registered: %v)", *backendName, compiler.Names())
 	}
 	caps := backend.Capabilities()
 
@@ -102,21 +100,18 @@ func main() {
 	if *qasmIn != "" {
 		f, err := os.Open(*qasmIn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		parsed, err := qasm.Parse(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		circ = &bench.Benchmark{Name: *qasmIn, Type: "QASM", Circ: parsed}
 	} else {
 		b, ok := bench.ByName(*name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "atomique: unknown benchmark %q (try -list)\n", *name)
-			os.Exit(1)
+			fatalf("unknown benchmark %q (try -list)", *name)
 		}
 		circ = &b
 	}
@@ -126,15 +121,13 @@ func main() {
 		if *emit != "-" {
 			f, err := os.Create(*emit)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 			defer f.Close()
 			out = f
 		}
 		if err := qasm.Write(out, circ.Circ); err != nil {
-			fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		return
 	}
@@ -158,8 +151,7 @@ func main() {
 		}
 	})
 	if zoneFlagSet && !caps.Zoned {
-		fmt.Fprintf(os.Stderr, "atomique: -zstorage/-zsites/-zgap apply only to zoned backends (%s is not one)\n", backend.Name())
-		os.Exit(1)
+		fatalf("-zstorage/-zsites/-zgap apply only to zoned backends (%s is not one)", backend.Name())
 	}
 	var tgt compiler.Target
 	var cfg hardware.Config
@@ -167,14 +159,12 @@ func main() {
 	switch {
 	case caps.Zoned:
 		if *family != "" || machineFlagSet {
-			fmt.Fprintf(os.Stderr, "atomique: %s compiles zoned machines; use -zstorage/-zsites/-zgap instead of -family or -slm/-aods/-aodsize\n", backend.Name())
-			os.Exit(1)
+			fatalf("%s compiles zoned machines; use -zstorage/-zsites/-zgap instead of -family or -slm/-aods/-aodsize", backend.Name())
 		}
 		zones = hardware.ZonesFor(circ.Circ.N)
 		if zoneFlagSet {
 			if *zStorage < 0 || *zSites < 0 || *zGap < 0 {
-				fmt.Fprintln(os.Stderr, "atomique: -zstorage/-zsites/-zgap must be non-negative (0 = default)")
-				os.Exit(1)
+				fatalf("-zstorage/-zsites/-zgap must be non-negative (0 = default)")
 			}
 			if *zStorage > 0 {
 				zones.StorageRows, zones.StorageCols = *zStorage, *zStorage
@@ -187,14 +177,12 @@ func main() {
 			}
 			tgt = compiler.Zoned(zones)
 			if err := tgt.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 		}
 	case caps.FPQA:
 		if *family != "" {
-			fmt.Fprintf(os.Stderr, "atomique: -family applies only to fixed-topology backends (%s compiles FPQA machines)\n", backend.Name())
-			os.Exit(1)
+			fatalf("-family applies only to fixed-topology backends (%s compiles FPQA machines)", backend.Name())
 		}
 		if machineFlagSet {
 			cfg = hardware.BuildConfig(*slm, *aods, *aodSize, hardware.NeutralAtom())
@@ -206,25 +194,21 @@ func main() {
 		}
 	default:
 		if machineFlagSet {
-			fmt.Fprintf(os.Stderr, "atomique: -slm/-aods/-aodsize apply only to FPQA backends (%s compiles fixed topologies; use -family)\n", backend.Name())
-			os.Exit(1)
+			fatalf("-slm/-aods/-aodsize apply only to FPQA backends (%s compiles fixed topologies; use -family)", backend.Name())
 		}
 		if *family != "" {
 			tgt = compiler.Coupling(*family, 0)
 			if err := tgt.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 		}
 	}
 
 	if *budget < 0 {
-		fmt.Fprintln(os.Stderr, "atomique: -budget must be non-negative seconds")
-		os.Exit(1)
+		fatalf("-budget must be non-negative seconds")
 	}
 	if *shots < 0 || *noiseScale < 0 {
-		fmt.Fprintln(os.Stderr, "atomique: -shots and -noisescale must be non-negative")
-		os.Exit(1)
+		fatalf("-shots and -noisescale must be non-negative")
 	}
 	noisyShots := *shots
 	if noisyShots == 0 && *noisy {
@@ -234,24 +218,20 @@ func main() {
 		noisyShots = 4096
 	}
 	if noisyShots == 0 && (*noiseSeed != 0 || *noiseScale != 0) {
-		fmt.Fprintln(os.Stderr, "atomique: -noiseseed/-noisescale need -noisy, -sample, or -shots")
-		os.Exit(1)
+		fatalf("-noiseseed/-noisescale need -noisy, -sample, or -shots")
 	}
 	if *shotOffset != 0 && !*sample {
-		fmt.Fprintln(os.Stderr, "atomique: -shotoffset needs -sample")
-		os.Exit(1)
+		fatalf("-shotoffset needs -sample")
 	}
 	if *shotOffset < 0 {
-		fmt.Fprintln(os.Stderr, "atomique: -shotoffset must be non-negative")
-		os.Exit(1)
+		fatalf("-shotoffset must be non-negative")
 	}
 	opts := compiler.Options{Seed: *seed, SerialRouter: *serial, DenseMapper: *dense,
-		Exact: *exact, BudgetSeconds: *budget,
-		NoisyShots: noisyShots, NoiseSeed: *noiseSeed, NoiseScale: *noiseScale,
+		Exact: *exact, BudgetSeconds: *budget}
+	run := compiler.ShotRun{NoisyShots: noisyShots, NoiseSeed: *noiseSeed, NoiseScale: *noiseScale,
 		SampleBits: *sample, ShotOffset: *shotOffset}
 	if err := opts.ApplyRelax(*relax); err != nil {
-		fmt.Fprintf(os.Stderr, "atomique: bad -relax flag: %v\n", err)
-		os.Exit(1)
+		fatalf("bad -relax flag: %v", err)
 	}
 
 	// -trace threads a span through the same instrumentation the compile
@@ -267,12 +247,11 @@ func main() {
 	}
 	res, err := backend.Compile(ctx, tgt, circ.Circ, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
-	if err := compiler.AttachNoise(ctx, tgt, res, opts); err != nil {
-		fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-		os.Exit(1)
+	est, sr, err := compiler.RunShots(ctx, tgt, res, run, nil)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if tr != nil {
 		tr.Root.End()
@@ -336,7 +315,7 @@ func main() {
 			fmt.Printf("  -log10 %-18s %.4g\n", labels[i], v)
 		}
 	}
-	if sr := res.Sample; sr != nil {
+	if sr != nil {
 		fmt.Printf("sampled          shots [%d, %d) on engine=%s: %d distinct outcomes, %d error shots, %d atoms lost\n",
 			sr.Offset, sr.Offset+int64(sr.Shots), sr.Engine, sr.Distinct, sr.ErrorShots, sr.LostShots)
 		// Histogram, most frequent first, capped so wide registers stay
@@ -367,7 +346,7 @@ func main() {
 			fmt.Printf("  (+%d more outcomes)\n", rest)
 		}
 	}
-	if est := res.Noise; est != nil {
+	if est != nil {
 		fmt.Printf("noisy sim        %d shots: fidelity %.4f ± %.4f (95%% CI), survival %.4f, analytic %.4f\n",
 			est.Shots, est.Fidelity, 1.96*est.StdErr, est.Survival, est.Analytic)
 		fmt.Printf("  %d shots with errors, %d atoms lost\n", est.ErrorShots, est.LostShots)
@@ -382,8 +361,7 @@ func main() {
 	}
 
 	if (*schedule || *vizFlag || *jsonOut != "") && !hasSchedule {
-		fmt.Fprintf(os.Stderr, "atomique: backend %q does not produce a movement schedule (-schedule/-viz/-json need the atomique backend)\n", res.Backend)
-		os.Exit(1)
+		fatalf("backend %q does not produce a movement schedule (-schedule/-viz/-json need the atomique backend)", res.Backend)
 	}
 
 	if *schedule {
@@ -408,15 +386,19 @@ func main() {
 		if *jsonOut != "-" {
 			f, err := os.Create(*jsonOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 			defer f.Close()
 			out = f
 		}
 		if err := core.ExportJSON(out, cfg, coreRes); err != nil {
-			fmt.Fprintf(os.Stderr, "atomique: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 	}
+}
+
+// fatalf prints an "atomique: "-prefixed error line to stderr and exits 1.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "atomique: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -17,6 +17,7 @@ import (
 
 // runSmoke is the -smoke mode: serve the real handler on an ephemeral
 // loopback port, drive a compile and a noisy simulate through it over HTTP,
+// check the simulate reused the cached compilation (/v1/stats passRuns),
 // and verify the observability surface end to end — /metrics parses as valid
 // Prometheus exposition and carries the expected families, and /v1/traces
 // returns the jobs' trace IDs with full span trees. CI runs this as its
@@ -83,8 +84,24 @@ func runSmoke(engine *service.Engine, logger *slog.Logger) error {
 		return fmt.Errorf("client trace ID not honoured: got %q", compiled.TraceID)
 	}
 
+	// The simulate shares the compile's inputs, so it must reuse the cached
+	// compilation: one pass-pipeline run across both requests.
+	resp, err := client.Get(base + "/v1/stats")
+	if err != nil {
+		return err
+	}
+	var stats service.Stats
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("GET /v1/stats: decode: %w", err)
+	}
+	if stats.PassRuns != 1 {
+		return fmt.Errorf("/v1/stats passRuns = %d after a compile and a simulate of one circuit, want 1", stats.PassRuns)
+	}
+
 	// /metrics must be valid exposition and cover both request classes.
-	resp, err := client.Get(base + "/metrics")
+	resp, err = client.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}

@@ -100,8 +100,9 @@ func main() {
 	fire := func(class string) {
 		defer inflight.Done()
 		// Sampling jobs vary the noise seed instead of the compile seed: each
-		// request is a fresh trajectory run (cache miss on the sampling work)
-		// over the one cached compilation — the realistic shape of a sharded
+		// request is a fresh trajectory run (a miss on its own result entry)
+		// over the one cached compilation of the benchmark, which every
+		// sample request shares — the realistic shape of a sharded
 		// million-shot job.
 		endpoint, payload := "/v1/compile", map[string]any{
 			"benchmark": *benchmark,

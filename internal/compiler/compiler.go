@@ -87,10 +87,12 @@ func (c Capabilities) WitnessWidth(n int) int {
 	return int(math.Ceil(float64(n) * f))
 }
 
-// Options is the backend-independent option envelope. Backends consume the
-// fields they understand and ignore the rest; the zero value is every
-// backend's default configuration. All fields participate in the service's
-// content-addressed cache key, so they must remain JSON-serializable.
+// Options is the backend-independent compile option envelope. Backends
+// consume the fields they understand and ignore the rest; the zero value is
+// every backend's default configuration. All fields participate in the
+// service's content-addressed cache key, so they must remain
+// JSON-serializable. Noisy shots run over a finished compilation are not
+// compile options; they are a ShotRun (see RunShots).
 type Options struct {
 	// Seed drives every randomised tie-break (all backends).
 	Seed int64 `json:"seed,omitempty"`
@@ -113,41 +115,6 @@ type Options struct {
 	// BudgetSeconds bounds wall-clock compile time for anytime/solver
 	// backends (0 = backend default).
 	BudgetSeconds float64 `json:"budgetSeconds,omitempty"`
-
-	// NoisyShots enables Monte-Carlo trajectory noise estimation after
-	// compilation (0 = off): the execution witness is replayed this many
-	// times under sampled error events and the empirical fidelity rides in
-	// Result.Noise. A post-compilation concern handled by AttachNoise —
-	// drivers (service, CLI, experiments) invoke it; backends ignore the
-	// field. Participates in the service cache key like every option, so
-	// noisy and ideal results never alias.
-	NoisyShots int `json:"noisyShots,omitempty"`
-	// NoiseSeed seeds trajectory sampling, independently of Seed.
-	NoiseSeed int64 `json:"noiseSeed,omitempty"`
-	// Engine selects the trajectory simulation engine ("auto", "dense",
-	// "stab"; empty = auto): auto dispatches Clifford witnesses to the
-	// stabilizer engine and everything else to the dense state-vector.
-	// Part of the cache key, so runs pinned to different engines never
-	// alias.
-	Engine string `json:"engine,omitempty"`
-	// SampleBits switches the trajectory run from fidelity estimation to
-	// measurement sampling: NoisyShots trajectories are measured in the
-	// computational basis and the histogram rides in Result.Sample (the
-	// /v1/sample product). Participates in the cache key, so sampled and
-	// estimated runs never alias.
-	SampleBits bool `json:"sampleBits,omitempty"`
-	// ShotOffset is the global index of the first sampled shot. Per-shot RNG
-	// streams derive from (NoiseSeed, global index), so disjoint shot ranges
-	// tile into one histogram — sharded and resumable sampling. Each range
-	// is its own cache entry.
-	ShotOffset int64 `json:"shotOffset,omitempty"`
-	// NoiseScale multiplies every noise-channel probability (0 = 1.0), for
-	// sensitivity probing.
-	NoiseScale float64 `json:"noiseScale,omitempty"`
-	// Noise1Q / Noise2Q override the hardware-derived per-gate depolarizing
-	// probabilities when positive.
-	Noise1Q float64 `json:"noise1Q,omitempty"`
-	Noise2Q float64 `json:"noise2Q,omitempty"`
 }
 
 // ApplyRelax parses a comma-separated list of constraint IDs ("1", "2", "3",
@@ -260,11 +227,10 @@ type Result struct {
 	// Extra carries backend-specific scalar outputs (e.g. Geyser's block and
 	// pulse counts) that have no slot in the common metrics record.
 	Extra map[string]float64 `json:"extra,omitempty"`
-	// Noise is the empirical fidelity estimate from Monte-Carlo trajectory
-	// simulation, populated by AttachNoise when Options.NoisyShots > 0.
-	Noise *noise.Estimate `json:"noise,omitempty"`
-	// Sample is the measurement histogram from sampling trajectories,
-	// populated instead of Noise when Options.SampleBits is set.
+	// Noise and Sample carry a trajectory run's product (RunShots) for
+	// callers that keep it together with the compilation. Backends and
+	// RunShots never set them.
+	Noise  *noise.Estimate     `json:"noise,omitempty"`
 	Sample *noise.SampleResult `json:"sample,omitempty"`
 	// Program is the compiled execution witness the differential
 	// verification replays (nil only when TimedOut). Never serialized.

@@ -12,76 +12,76 @@ import (
 // requests at resolve time.
 const MaxNoisyShots = 1 << 20
 
-// AttachNoise runs the Monte-Carlo trajectory estimation for a completed
-// compilation when Options.NoisyShots is set, populating Result.Noise. The
-// noise model derives from the target's physical parameters and the
-// backend's reported metrics (see internal/noise); the trajectories replay
-// the result's execution witness. Timed-out results carry no witness and are
-// skipped; a backend that completed without a witness is an error. Noise
-// estimation is a post-compilation concern, so drivers — the compile
-// service, the CLI, the experiment tables — call this rather than every
-// backend reimplementing it.
-func AttachNoise(ctx context.Context, tgt Target, res *Result, opts Options) error {
-	if opts.SampleBits {
-		return AttachSample(ctx, tgt, res, opts, nil)
-	}
-	model, w, err := noiseSetup(tgt, res, opts)
-	if err != nil || res == nil || res.TimedOut || opts.NoisyShots == 0 {
-		return err
-	}
-	est, err := noise.Simulate(ctx, model, w,
-		noise.Run{Shots: opts.NoisyShots, Seed: opts.NoiseSeed, Engine: opts.Engine})
-	if err != nil {
-		return fmt.Errorf("%s: %w", res.Backend, err)
-	}
-	res.Noise = est
-	return nil
+// ShotRun is one Monte-Carlo trajectory run over a compiled program. It is
+// not part of Options because no backend reads it: the compiled program
+// depends only on the circuit, target and compile options, so one
+// compilation serves every shot run over it. All fields are
+// JSON-serializable; the service keys its cached shot results on them.
+type ShotRun struct {
+	// NoisyShots is the number of trajectories (0 = no run): the execution
+	// witness is replayed this many times under sampled error events.
+	NoisyShots int `json:"noisyShots,omitempty"`
+	// NoiseSeed seeds trajectory sampling, independently of Options.Seed.
+	NoiseSeed int64 `json:"noiseSeed,omitempty"`
+	// Engine selects the trajectory simulation engine ("auto", "dense",
+	// "stab"; empty = auto): auto dispatches Clifford witnesses to the
+	// stabilizer engine and everything else to the dense state-vector.
+	Engine string `json:"engine,omitempty"`
+	// SampleBits switches the run from fidelity estimation to measurement
+	// sampling: each trajectory is measured in the computational basis and
+	// the run yields a histogram (the /v1/sample product).
+	SampleBits bool `json:"sampleBits,omitempty"`
+	// ShotOffset is the global index of the first sampled shot. Per-shot RNG
+	// streams derive from (NoiseSeed, global index), so disjoint shot ranges
+	// tile into one histogram — sharded and resumable sampling.
+	ShotOffset int64 `json:"shotOffset,omitempty"`
+	// NoiseScale multiplies every noise-channel probability (0 = 1.0), for
+	// sensitivity probing.
+	NoiseScale float64 `json:"noiseScale,omitempty"`
+	// Noise1Q / Noise2Q override the hardware-derived per-gate depolarizing
+	// probabilities when positive.
+	Noise1Q float64 `json:"noise1Q,omitempty"`
+	Noise2Q float64 `json:"noise2Q,omitempty"`
 }
 
-// AttachSample runs the measurement-sampling trajectories for a completed
-// compilation, populating Result.Sample with the histogram over
-// Options.NoisyShots shots starting at Options.ShotOffset. emit, when
-// non-nil, streams every shot record in global shot order (the /v1/sample
-// chunked-HTTP path); an emit error aborts the run.
-func AttachSample(ctx context.Context, tgt Target, res *Result, opts Options, emit func([]noise.ShotRecord) error) error {
-	model, w, err := noiseSetup(tgt, res, opts)
-	if err != nil || res == nil || res.TimedOut || opts.NoisyShots == 0 {
-		return err
+// RunShots runs the trajectories of run over a completed compilation and
+// returns the fidelity estimate, or with run.SampleBits the measurement
+// sample over shots [ShotOffset, ShotOffset+NoisyShots). The noise model
+// derives from the target's physical parameters and the backend's reported
+// metrics (see internal/noise); the trajectories replay the result's
+// execution witness. emit, when non-nil, streams every sampled shot record
+// in global shot order (the /v1/sample chunked-HTTP path); an emit error
+// aborts the run. A zero run or a timed-out result (no witness) yields
+// nothing; a backend that completed without a witness is an error. RunShots
+// never writes to res, so one compiled result serves concurrent runs.
+func RunShots(ctx context.Context, tgt Target, res *Result, run ShotRun, emit func([]noise.ShotRecord) error) (est *noise.Estimate, sr *noise.SampleResult, err error) {
+	if run.NoisyShots == 0 || res.TimedOut {
+		return nil, nil, nil
 	}
-	sr, err := noise.Sample(ctx, model, w, noise.SampleRun{
-		Shots:  opts.NoisyShots,
-		Offset: opts.ShotOffset,
-		Seed:   opts.NoiseSeed,
-		Engine: opts.Engine,
-		Emit:   emit,
-	})
-	if err != nil {
-		return fmt.Errorf("%s: %w", res.Backend, err)
-	}
-	res.Sample = sr
-	return nil
-}
-
-// noiseSetup validates the trajectory request and derives the noise model
-// and execution witness shared by estimation and sampling.
-func noiseSetup(tgt Target, res *Result, opts Options) (noise.Model, noise.Witness, error) {
-	if opts.NoisyShots == 0 || res == nil || res.TimedOut {
-		return noise.Model{}, noise.Witness{}, nil
-	}
-	if opts.NoisyShots < 0 || opts.NoisyShots > MaxNoisyShots {
-		return noise.Model{}, noise.Witness{}, fmt.Errorf("compiler: noisy shots must be in 1..%d, got %d", MaxNoisyShots, opts.NoisyShots)
+	if run.NoisyShots < 0 || run.NoisyShots > MaxNoisyShots {
+		return nil, nil, fmt.Errorf("compiler: noisy shots must be in 1..%d, got %d", MaxNoisyShots, run.NoisyShots)
 	}
 	if res.Program == nil {
-		return noise.Model{}, noise.Witness{}, fmt.Errorf("compiler: backend %q produced no execution witness to simulate noisily", res.Backend)
+		return nil, nil, fmt.Errorf("compiler: backend %q produced no execution witness to simulate noisily", res.Backend)
 	}
 	p, err := noiseParams(tgt, res.Metrics.NQubits)
 	if err != nil {
-		return noise.Model{}, noise.Witness{}, err
+		return nil, nil, err
 	}
 	model := noise.Build(p, res.Metrics).
-		WithGateProbs(opts.Noise1Q, opts.Noise2Q).
-		Scaled(opts.NoiseScale)
-	return model, noise.Witness{NSlots: res.Program.NSlots, Gates: res.Program.Gates}, nil
+		WithGateProbs(run.Noise1Q, run.Noise2Q).
+		Scaled(run.NoiseScale)
+	w := noise.Witness{NSlots: res.Program.NSlots, Gates: res.Program.Gates}
+	if run.SampleBits {
+		sr, err = noise.Sample(ctx, model, w, noise.SampleRun{
+			Shots: run.NoisyShots, Offset: run.ShotOffset, Seed: run.NoiseSeed, Engine: run.Engine, Emit: emit})
+	} else {
+		est, err = noise.Simulate(ctx, model, w, noise.Run{Shots: run.NoisyShots, Seed: run.NoiseSeed, Engine: run.Engine})
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", res.Backend, err)
+	}
+	return est, sr, nil
 }
 
 // noiseParams resolves the physical parameters the noise model derives its

@@ -49,6 +49,21 @@ func TestNoiseValidationTable(t *testing.T) {
 	}
 }
 
+// TestSamplingTable runs the sampling experiment, whose driver panics when a
+// row's two merged shards differ from its full-range run, and checks that
+// the rows wider than the dense engine sample on the stabilizer engine.
+func TestSamplingTable(t *testing.T) {
+	ts := Sampling()
+	if len(ts) != 1 || len(ts[0].Rows) != 5 {
+		t.Fatalf("Sampling returned %d tables, want 1 with 5 rows", len(ts))
+	}
+	for _, row := range ts[0].Rows {
+		if strings.HasPrefix(row[0], "GHZ-") && row[2] != "stab" {
+			t.Errorf("%s sampled on engine %q, want stab", row[0], row[2])
+		}
+	}
+}
+
 func TestTable1(t *testing.T) {
 	ts := Table1()
 	if len(ts) != 1 || len(ts[0].Rows) < 10 {

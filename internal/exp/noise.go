@@ -58,12 +58,12 @@ func NoiseValidation() []*report.Table {
 		}
 		var rows []noiseRow
 		for _, b := range compiler.List() {
-			opts := compiler.Options{Seed: 7, NoisyShots: noiseShots, NoiseSeed: 11}
-			res := mustCompile(b.Name(), compiler.Target{}, wl.Circ, opts)
-			if err := compiler.AttachNoise(context.Background(), compiler.Target{}, res, opts); err != nil {
+			res := mustCompile(b.Name(), compiler.Target{}, wl.Circ, compiler.Options{Seed: 7})
+			est, _, err := compiler.RunShots(context.Background(), compiler.Target{}, res,
+				compiler.ShotRun{NoisyShots: noiseShots, NoiseSeed: 11}, nil)
+			if err != nil {
 				panic(fmt.Sprintf("exp: %s noisy simulation failed: %v", b.Name(), err))
 			}
-			est := res.Noise
 			if est == nil {
 				// An anytime solver can exhaust its budget under load;
 				// keep the backend's row rather than crashing the driver.

@@ -29,12 +29,12 @@ func SurfaceCode() []*report.Table {
 	for _, s := range []struct{ d, rounds int }{{3, 1}, {3, 2}, {5, 1}, {5, 2}, {7, 1}} {
 		c := bench.SurfaceCodeCycle(s.d, s.rounds)
 		tgt := compiler.Zoned(hardware.ZonesFor(c.N))
-		opts := compiler.Options{Seed: 7, NoisyShots: 2000, NoiseSeed: 11}
-		res := mustCompile("zoned", tgt, c, opts)
-		if err := compiler.AttachNoise(context.Background(), tgt, res, opts); err != nil {
-			panic(fmt.Sprintf("exp: surface-code noise attach failed: %v", err))
+		res := mustCompile("zoned", tgt, c, compiler.Options{Seed: 7})
+		est, _, err := compiler.RunShots(context.Background(), tgt, res,
+			compiler.ShotRun{NoisyShots: 2000, NoiseSeed: 11}, nil)
+		if err != nil {
+			panic(fmt.Sprintf("exp: surface-code noise run failed: %v", err))
 		}
-		est := res.Noise
 		t.AddRow(fmt.Sprintf("d=%d r=%d", s.d, s.rounds),
 			c.N, res.Metrics.N2Q, res.Metrics.Depth2Q,
 			fmt.Sprintf("%.4f", res.Metrics.ExecutionTime),

@@ -42,19 +42,16 @@ func Sampling() []*report.Table {
 		{"GHZ-96", bench.GHZ(96), 20000},
 	} {
 		tgt := compiler.Target{}
-		opts := compiler.Options{Seed: 7, NoisyShots: cs.shots, NoiseSeed: 13, SampleBits: true}
-		res := mustCompile("atomique", tgt, cs.circ, opts)
-		if err := compiler.AttachNoise(context.Background(), tgt, res, opts); err != nil {
-			panic(fmt.Sprintf("exp: sampling attach failed: %v", err))
-		}
-		full := res.Sample
+		res := mustCompile("atomique", tgt, cs.circ, compiler.Options{Seed: 7})
+		run := compiler.ShotRun{NoisyShots: cs.shots, NoiseSeed: 13, SampleBits: true}
+		full := sampleShard(tgt, res, run)
 
 		// The shard runs reuse the compiled witness; only the shot range
 		// differs, exactly as a resumed or fanned-out /v1/sample job would.
-		half := cs.shots / 2
-		lo := sampleShard(tgt, res, opts, 0, half)
-		hi := sampleShard(tgt, res, opts, int64(half), cs.shots-half)
-		merged, err := noise.MergeSamples(lo, hi)
+		lo, hi := run, run
+		lo.NoisyShots = cs.shots / 2
+		hi.ShotOffset, hi.NoisyShots = int64(lo.NoisyShots), cs.shots-lo.NoisyShots
+		merged, err := noise.MergeSamples(sampleShard(tgt, res, lo), sampleShard(tgt, res, hi))
 		if err != nil {
 			panic(fmt.Sprintf("exp: %s: sampling merge failed: %v", cs.name, err))
 		}
@@ -78,18 +75,13 @@ func Sampling() []*report.Table {
 	return []*report.Table{t}
 }
 
-// sampleShard re-runs sampling on an already-compiled result over one shot
-// range. The Result copy is shallow — witness and metrics are shared; only
-// the Sample field diverges.
-func sampleShard(tgt compiler.Target, res *compiler.Result, opts compiler.Options, offset int64, shots int) *noise.SampleResult {
-	o := opts
-	o.ShotOffset = offset
-	o.NoisyShots = shots
-	r := *res
-	if err := compiler.AttachSample(context.Background(), tgt, &r, o, nil); err != nil {
-		panic(fmt.Sprintf("exp: sampling shard [%d, %d) failed: %v", offset, offset+int64(shots), err))
+// sampleShard samples one shot range over an already-compiled result.
+func sampleShard(tgt compiler.Target, res *compiler.Result, run compiler.ShotRun) *noise.SampleResult {
+	_, sr, err := compiler.RunShots(context.Background(), tgt, res, run, nil)
+	if err != nil {
+		panic(fmt.Sprintf("exp: sampling shots [%d, %d) failed: %v", run.ShotOffset, run.ShotOffset+int64(run.NoisyShots), err))
 	}
-	return r.Sample
+	return sr
 }
 
 // mustBench resolves a named benchmark circuit.

@@ -60,15 +60,15 @@ func TestNoiseValidationRegressCorpus(t *testing.T) {
 	}
 	validate := func(t *testing.T, b compiler.Backend, e corpusEntry, wantEngine string) {
 		t.Helper()
-		opts := compiler.Options{Seed: goldenSeed, NoisyShots: noiseValidationShots, NoiseSeed: 13}
-		res, err := b.Compile(context.Background(), compiler.Target{}, e.circ, opts)
+		res, err := b.Compile(context.Background(), compiler.Target{}, e.circ, compiler.Options{Seed: goldenSeed})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", e.name, err)
 		}
-		if err := compiler.AttachNoise(context.Background(), compiler.Target{}, res, opts); err != nil {
+		est, _, err := compiler.RunShots(context.Background(), compiler.Target{}, res,
+			compiler.ShotRun{NoisyShots: noiseValidationShots, NoiseSeed: 13}, nil)
+		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
-		est := res.Noise
 		if est == nil {
 			t.Fatalf("%s: no noise estimate attached", e.name)
 		}

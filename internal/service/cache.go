@@ -4,19 +4,20 @@ import (
 	"container/list"
 	"sync"
 
+	"atomique/internal/compiler"
 	"atomique/internal/metrics"
 )
 
-// outcome is a finished compilation: the metrics record, the pre-marshalled
-// result envelope (so repeated requests return byte-identical JSON), and the
-// compile error if any. timedOut marks a budget-bounded solver run that
-// exhausted its wall-clock budget; such outcomes are returned but never
-// cached (the timeout depends on machine load, not on the inputs).
+// outcome is a finished job: the metrics record, the pre-marshalled result
+// envelope (so repeated requests return byte-identical JSON), or the error.
+// A cached outcome also holds the compiled result, for shot runs over it. A
+// timed-out result (a solver run out of wall-clock budget) is returned but
+// never cached: the timeout depends on machine load, not on the inputs.
 type outcome struct {
-	metrics  metrics.Compiled
-	json     []byte
-	err      error
-	timedOut bool
+	metrics metrics.Compiled
+	json    []byte
+	err     error
+	res     *compiler.Result
 }
 
 // entry is one cache slot. done is closed when the owning computation
@@ -34,10 +35,12 @@ type entry[K comparable, V any] struct {
 // lruCache is a bounded LRU whose reservation doubles as in-flight
 // deduplication: the first requester of a key owns the computation,
 // concurrent requesters wait on the same entry. The engine keeps two. The
-// result cache is keyed by the hash of (backend name, circuit fingerprint,
-// target, compile options); compilation is deterministic per key, so a
-// cached outcome is exact, not approximate. The fingerprint memo is keyed by
-// circuit pointer, for circuits that are immutable once submitted.
+// result cache holds two kinds of entry: a compiled result keyed by the hash
+// of (backend name, circuit fingerprint, target, compile options), and a
+// shot run's result keyed by the hash of its compile key and the shot run.
+// Compilation and shot runs are deterministic per key, so a cached outcome
+// is exact, not approximate. The fingerprint memo is keyed by circuit
+// pointer, for circuits that are immutable once submitted.
 type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int

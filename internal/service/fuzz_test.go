@@ -12,10 +12,10 @@ import (
 )
 
 // FuzzRequest asserts the service boundary's error contract on arbitrary
-// JSON: a body that decodes the way decodeRequest decodes it (unknown fields
-// rejected) either resolves or fails with a *RequestError — resolve never
-// panics and never reports a client mistake as anything the HTTP layer
-// would map to a 5xx.
+// bytes: decoding them through decodeBody, the helper every JSON endpoint
+// uses, then resolving the request either succeeds or fails with a
+// *RequestError — neither panics nor reports a client mistake as anything
+// the HTTP layer would map to a 5xx.
 //
 // Run it as a regression corpus with `go test ./internal/service`, or as a
 // fuzzer with `go test -run='^$' -fuzz=FuzzRequest ./internal/service`.
@@ -43,16 +43,15 @@ func FuzzRequest(f *testing.F) {
 		}
 		f.Add(js)
 	}
+	f.Add([]byte(`{"benchmark":"H2-4"}{"benchmark":"QV-32"}`)) // trailing data
 	e := New(Config{Workers: 1})
 	f.Cleanup(e.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&req) != nil {
-			return // decodeRequest answers these with its own 400
+		err := decodeBody(bytes.NewReader(data), &req)
+		if err == nil {
+			_, err = e.resolve(req)
 		}
-		_, err := e.resolve(req)
 		var re *RequestError
 		if err != nil && !errors.As(err, &re) {
 			t.Fatalf("resolve(%s) = %T %v, want *RequestError", data, err, err)

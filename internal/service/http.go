@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -201,15 +202,42 @@ func jobStatus(j *Job) int {
 	return http.StatusOK
 }
 
+// decodeRequest decodes a size-capped request body into v, answering a
+// malformed one with a 400.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid request body: %v", err)})
+	if err := decodeBody(r.Body, v); err != nil {
+		writeError(w, err)
 		return false
 	}
 	return true
+}
+
+// decodeBody decodes exactly one JSON value from rd into v, rejecting
+// unknown fields (client typos like "benchmrk") and trailing data, with a
+// *RequestError.
+func decodeBody(rd io.Reader, v interface{}) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, next := dec.Token(); err == nil && next != io.EOF {
+		err = errors.New("trailing data after the JSON value")
+	}
+	if err != nil {
+		return &RequestError{Msg: fmt.Sprintf("invalid request body: %v", err)}
+	}
+	return nil
+}
+
+// boolParam reads an optional boolean query parameter (absent = false),
+// reporting a malformed value as a *RequestError.
+func boolParam(r *http.Request, name string) (bool, error) {
+	v := r.URL.Query().Get(name)
+	b, err := strconv.ParseBool(v)
+	if v != "" && err != nil {
+		return false, &RequestError{Msg: fmt.Sprintf("bad %s value %q", name, v)}
+	}
+	return b, nil
 }
 
 func (e *Engine) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -223,30 +251,26 @@ func (e *Engine) handleCompile(w http.ResponseWriter, r *http.Request) {
 // serveCompile runs one decoded request through the synchronous compile
 // path, honouring ?async=1 — shared by /v1/compile and /v1/simulate.
 func (e *Engine) serveCompile(w http.ResponseWriter, r *http.Request, req Request) {
-	if v := r.URL.Query().Get("async"); v != "" {
-		async, err := strconv.ParseBool(v)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad async value %q", v)})
-			return
-		}
-		if async {
-			jv, err := e.Submit(r.Context(), req)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			w.Header().Set(TraceHeader, jv.TraceID)
-			writeJSON(w, http.StatusAccepted, jv)
-			return
-		}
+	async, err := boolParam(r, "async")
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	jv, err := e.Compile(r.Context(), req)
+	submit := e.Compile
+	if async {
+		submit = e.Submit
+	}
+	jv, err := submit(r.Context(), req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	w.Header().Set(TraceHeader, jv.TraceID)
-	writeJSON(w, jobStatus(jv), jv)
+	status := jobStatus(jv)
+	if async {
+		status = http.StatusAccepted
+	}
+	writeJSON(w, status, jv)
 }
 
 // handleSimulate is the noisy-shot workload entry point: compile (through

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -156,6 +157,27 @@ func TestHTTPBadRequests(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field status = %d, want 400", resp2.StatusCode)
+	}
+
+	// Trailing data after the request object: 400, not a compile of the
+	// first value.
+	resp2, err = http.Post(srv.URL+"/v1/compile", "application/json",
+		strings.NewReader(`{"benchmark":"H2-4"}{"benchmark":"QV-32"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing, _ := io.ReadAll(resp2.Body)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusBadRequest || !strings.Contains(string(trailing), "trailing data") {
+		t.Errorf("trailing data: status = %d, body %s; want 400 naming the trailing data", resp2.StatusCode, trailing)
+	}
+
+	// Malformed boolean query flags: 400 naming the flag.
+	for _, path := range []string{"/v1/compile?async=maybe", "/v1/simulate?async=2", "/v1/sample?stream=yes"} {
+		resp, body := postJSON(t, srv.URL+path, Request{QASM: ghzQASM})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "bad ") {
+			t.Errorf("%s: status = %d, body %s; want 400 naming the bad value", path, resp.StatusCode, body)
+		}
 	}
 
 	// Unknown job: 404.

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"atomique/internal/circuit"
 	"atomique/internal/compiler"
+	"atomique/internal/metrics"
 	"atomique/internal/noise"
 	"atomique/internal/report"
 )
@@ -261,5 +263,36 @@ func TestSimulateDeterministicEnvelope(t *testing.T) {
 	bj, _ := json.Marshal(b)
 	if !bytes.Equal(aj, bj) {
 		t.Errorf("noisy estimates diverge across engines:\n%s\nvs\n%s", aj, bj)
+	}
+}
+
+// TestShotCountersSkipTimedOutCompiles: the shot counters count the shots
+// a trajectory run actually produced. A noisy or sampled request whose
+// compile timed out runs no shot, so neither counter moves.
+func TestShotCountersSkipTimedOutCompiles(t *testing.T) {
+	e := newEngine(Config{Workers: 1}, func(_ context.Context, _ compiler.Backend, _ compiler.Target, circ *circuit.Circuit, _ compiler.Options) (*compiler.Result, error) {
+		return &compiler.Result{Backend: "stub", TimedOut: true,
+			Metrics: metrics.Compiled{Arch: "stub", NQubits: circ.N}}, nil
+	})
+	defer e.Close()
+	for _, req := range []Request{
+		{Benchmark: "H2-4", Seed: 1, Shots: 100},
+		{Benchmark: "H2-4", Seed: 1, Shots: 100, Sample: true},
+	} {
+		j, err := e.Compile(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env report.Envelope
+		if err := json.Unmarshal(j.Result, &env); err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone || !env.TimedOut || env.Noise != nil || env.Sample != nil {
+			t.Fatalf("job %s timedOut=%v noise=%v sample=%v, want a timed-out envelope without shots",
+				j.State, env.TimedOut, env.Noise, env.Sample)
+		}
+	}
+	if shots, sampled := e.tel.shots.Value(), e.tel.sampledShots.Value(); shots != 0 || sampled != 0 {
+		t.Errorf("trajectory/sampled shot counters = %v/%v after timed-out compiles, want 0/0", shots, sampled)
 	}
 }

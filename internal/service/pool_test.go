@@ -299,36 +299,58 @@ func TestCancelVsFinishRace(t *testing.T) {
 }
 
 // TestCoalescedWaiterTakeover: cancel the job that owns an in-flight cache
-// entry while an identical job waits on it — the waiter must take over the
-// computation and finish, not hang on the dead owner. Run with -race.
+// entry while a job that needs the same entry waits on it — the waiter must
+// take over the computation and finish, not hang on the dead owner. The
+// waiter is either an identical job or a different sample shard, which
+// shares only the owner's compile entry. Run with -race.
 func TestCoalescedWaiterTakeover(t *testing.T) {
-	backend := newBlockingBackend()
-	e := newEngine(Config{Workers: 2, QueueSize: 8}, backend.compile)
-	defer e.Close()
+	for name, tc := range map[string]struct{ owner, waiter Request }{
+		"identical": {
+			owner:  Request{Benchmark: "H2-4", Seed: 7},
+			waiter: Request{Benchmark: "H2-4", Seed: 7},
+		},
+		"other-shard": {
+			owner:  Request{Benchmark: "H2-4", Seed: 7, Shots: 64, Sample: true},
+			waiter: Request{Benchmark: "H2-4", Seed: 7, Shots: 64, Sample: true, ShotOffset: 64},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			backend := newBlockingBackend()
+			// Released compiles run the real backend, so the shard's shots
+			// have a witness to replay.
+			e := newEngine(Config{Workers: 2, QueueSize: 8}, func(ctx context.Context, b compiler.Backend, tgt compiler.Target, circ *circuit.Circuit, opts compiler.Options) (*compiler.Result, error) {
+				if _, err := backend.compile(ctx, b, tgt, circ, opts); err != nil {
+					return nil, err
+				}
+				return b.Compile(ctx, tgt, circ, opts)
+			})
+			defer e.Close()
 
-	owner, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-backend.started // owner holds the in-flight cache entry
-	waiter, err := e.Submit(context.Background(), Request{Benchmark: "H2-4", Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := e.Cancel(owner.ID); !ok || err != nil {
-		t.Fatalf("cancel owner: ok=%v err=%v", ok, err)
-	}
-	waitState(t, e, owner.ID, StateCancelled)
-	// The waiter must re-enter the backend (second started event) and finish
-	// once released.
-	select {
-	case <-backend.started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never took over the computation")
-	}
-	close(backend.release)
-	if j := waitState(t, e, waiter.ID, StateDone); j.Error != "" {
-		t.Fatalf("waiter error: %s", j.Error)
+			owner, err := e.Submit(context.Background(), tc.owner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-backend.started // owner holds the in-flight compile entry
+			waiter, err := e.Submit(context.Background(), tc.waiter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := e.Cancel(owner.ID); !ok || err != nil {
+				t.Fatalf("cancel owner: ok=%v err=%v", ok, err)
+			}
+			waitState(t, e, owner.ID, StateCancelled)
+			// The waiter must re-enter the backend (second started event) and
+			// finish once released.
+			select {
+			case <-backend.started:
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiter never took over the computation")
+			}
+			close(backend.release)
+			if j := waitState(t, e, waiter.ID, StateDone); j.Error != "" {
+				t.Fatalf("waiter error: %s", j.Error)
+			}
+		})
 	}
 }
 

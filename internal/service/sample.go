@@ -18,12 +18,13 @@ const DefaultSampleShots = 4096
 // histogram rides in the envelope's "sample" field.
 //
 // Without ?stream=1 it is POST /v1/compile with sampling defaulted on —
-// including the ?async=1 contract and the content-addressed cache, so a
-// resubmitted shard (same circuit, options, seed, and shot range) is a
-// cache hit. With ?stream=1 the response is NDJSON: one line per shot
-// record, in global shot order, followed by a final result-envelope line;
-// streaming runs bypass the cache because the record stream only exists on
-// this connection.
+// including the ?async=1 contract and the content-addressed cache, so every
+// shard of one circuit shares one cached compilation, and a resubmitted
+// shard (same circuit, options, seed, and shot range) is a cache hit. With
+// ?stream=1 the response is NDJSON: one line per shot record, in global shot
+// order, followed by a final result-envelope line; streaming runs reuse the
+// cached compilation but never cache their shots, because the record stream
+// only exists on this connection.
 //
 // Sample jobs default to batch priority: a million-shot sampling job is
 // throughput work that must queue behind interactive compiles.
@@ -39,32 +40,15 @@ func (e *Engine) handleSample(w http.ResponseWriter, r *http.Request) {
 	if req.Priority == "" {
 		req.Priority = PriorityBatch
 	}
-	stream := false
-	if v := r.URL.Query().Get("stream"); v != "" {
-		b, err := parseBoolParam("stream", v)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		stream = b
-	}
-	if !stream {
+	stream, err := boolParam(r, "stream")
+	switch {
+	case err != nil:
+		writeError(w, err)
+	case stream:
+		e.serveSampleStream(w, r, req)
+	default:
 		e.serveCompile(w, r, req)
-		return
 	}
-	e.serveSampleStream(w, r, req)
-}
-
-// parseBoolParam parses a boolean query parameter into a RequestError on
-// failure, so writeError maps it to 400.
-func parseBoolParam(name, v string) (bool, error) {
-	switch v {
-	case "1", "t", "true", "T", "TRUE", "True":
-		return true, nil
-	case "0", "f", "false", "F", "FALSE", "False":
-		return false, nil
-	}
-	return false, &RequestError{Msg: "bad " + name + " value " + v}
 }
 
 // serveSampleStream runs one sampling job with a live NDJSON shot stream.

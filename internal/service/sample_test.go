@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -179,6 +181,83 @@ func TestHTTPSampleShardMerge(t *testing.T) {
 	}
 	if j, _ := post(Request{QASM: ghzQASM, NoiseSeed: 11, Shots: 500, ShotOffset: 401}); j.Cached {
 		t.Error("shifted shard aliased a cached range")
+	}
+}
+
+// TestSampleShardsShareOneCompile: shards of one circuit differ only in
+// their shot range, so they share one compiled result. Eight concurrent
+// shards run one compile, each shard's own lookup is a miss on its result
+// key, the shards merge bit for bit into one full-range run, and a later
+// simulate, plain compile or streamed shard of the same compile inputs adds
+// no pass run.
+func TestSampleShardsShareOneCompile(t *testing.T) {
+	e, srv := newTestServer(t, Config{Workers: 4})
+	const shards, per = 8, 128
+	bodies := make([][]byte, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			js, _ := json.Marshal(Request{QASM: ghzQASM, Seed: 5, NoiseSeed: 11, Shots: per, ShotOffset: int64(i * per)})
+			resp, err := http.Post(srv.URL+"/v1/sample", "application/json", bytes.NewReader(js))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+		}(i)
+	}
+	wg.Wait()
+	parts := make([]*noise.SampleResult, shards)
+	for i, body := range bodies {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		j, env := decodeSampleEnvelope(t, body)
+		if j.Cached || env.Sample == nil {
+			t.Fatalf("shard %d: cached=%v sample=%v, want a fresh sample", i, j.Cached, env.Sample)
+		}
+		parts[i] = env.Sample
+	}
+	if st := e.Stats(); st.PassRuns != 1 || st.CacheMisses != shards || st.CacheHits != 0 {
+		t.Fatalf("after %d shards: passRuns=%d misses=%d hits=%d, want 1/%d/0",
+			shards, st.PassRuns, st.CacheMisses, st.CacheHits, shards)
+	}
+
+	_, body := postJSON(t, srv.URL+"/v1/sample", Request{QASM: ghzQASM, Seed: 5, NoiseSeed: 11, Shots: shards * per})
+	_, full := decodeSampleEnvelope(t, body)
+	merged, err := noise.MergeSamples(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(merged, full.Sample) {
+		t.Errorf("merged shards differ from the full run:\nmerged: %+v\nfull:   %+v", merged, full.Sample)
+	}
+
+	_, body = postJSON(t, srv.URL+"/v1/simulate", Request{QASM: ghzQASM, Seed: 5, Shots: 64})
+	if _, env := decodeSampleEnvelope(t, body); env.Noise == nil {
+		t.Error("simulate over the shared compile carries no estimate")
+	}
+	_, body = postJSON(t, srv.URL+"/v1/compile", Request{QASM: ghzQASM, Seed: 5})
+	if j, _ := decodeSampleEnvelope(t, body); !j.Cached {
+		t.Error("plain compile of the shards' inputs missed the compile entry")
+	}
+	js, _ := json.Marshal(Request{QASM: ghzQASM, Seed: 5, NoiseSeed: 11, Shots: per})
+	resp, err := http.Post(srv.URL+"/v1/sample?stream=1", "application/json", bytes.NewReader(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || bytes.Count(streamed, []byte("\n")) != per+1 {
+		t.Errorf("streamed shard: status %d, %d lines, want 200 with %d records and the envelope",
+			resp.StatusCode, bytes.Count(streamed, []byte("\n")), per)
+	}
+	if st := e.Stats(); st.PassRuns != 1 {
+		t.Errorf("passRuns = %d after full-range, simulate, compile and streamed requests, want 1", st.PassRuns)
 	}
 }
 

@@ -2,8 +2,9 @@
 // service: a bounded job queue drained by a worker pool that runs any
 // registered compiler backend concurrently (compilation is deterministic per
 // seed, so results are safely parallelizable and cacheable), fronted by a
-// content-addressed LRU result cache keyed on (backend, circuit fingerprint,
-// target, compile options). Backends are selected per request through the
+// content-addressed LRU cache: one compiled result per (backend, circuit
+// fingerprint, target, compile options), and beneath it the result of each
+// noisy-shot run over it. Backends are selected per request through the
 // unified registry (internal/compiler); GET /v1/backends lists them. The
 // HTTP/JSON API lives in http.go; the engine here is equally usable
 // in-process (cmd/experiments routes the figure drivers' compilations
@@ -203,9 +204,10 @@ type Request struct {
 	// Shots enables Monte-Carlo trajectory noise estimation (0 = off): the
 	// compiled program is replayed this many times under sampled noise and
 	// the empirical fidelity rides in the result envelope's "noise" field.
-	// POST /v1/simulate defaults it to DefaultSimulateShots. All noise
-	// options are part of the content-addressed cache key, so noisy and
-	// ideal results never alias.
+	// POST /v1/simulate defaults it to DefaultSimulateShots. Shot runs reuse
+	// the cached compilation of their compile inputs and cache their own
+	// result under a key adding every noise option, so noisy and ideal
+	// results never alias.
 	Shots int `json:"shots,omitempty"`
 	// NoiseSeed seeds trajectory sampling, independently of Seed.
 	NoiseSeed int64 `json:"noiseSeed,omitempty"`
@@ -270,21 +272,26 @@ type Job struct {
 	FinishedAt  *time.Time      `json:"finishedAt,omitempty"`
 }
 
-// task is a fully resolved compilation: inputs plus the content-addressed
-// cache key. newTask builds every task, so backend is never nil.
+// task is a fully resolved job: compile inputs, the shot run over the
+// compiled program, and the content-addressed cache keys. newTask builds
+// every task, so backend is never nil.
 type task struct {
-	label   string // benchmark name or request label, informational only
-	hash    string // circuit fingerprint
-	key     string // cache key
-	class   string // request class: ClassCompile or ClassSimulate
-	prio    admission.Priority
-	backend compiler.Backend
-	target  compiler.Target
-	circ    *circuit.Circuit
-	opts    compiler.Options
+	label string // benchmark name or request label, informational only
+	hash  string // circuit fingerprint
+	// compileKey keys the compiled result; key keys the task's own result,
+	// which is the compiled result itself when the task runs no shots.
+	compileKey string
+	key        string
+	class      string // request class: ClassCompile, ClassSimulate or ClassSample
+	prio       admission.Priority
+	backend    compiler.Backend
+	target     compiler.Target
+	circ       *circuit.Circuit
+	opts       compiler.Options
+	shots      compiler.ShotRun
 	// emit, when set, streams sampled shot records as they are produced
-	// (the /v1/sample?stream=1 path). Streaming outcomes bypass the result
-	// cache: the records only exist on the live connection.
+	// (the /v1/sample?stream=1 path). Streamed shot runs are never cached:
+	// the records only exist on the live connection.
 	emit func([]noise.ShotRecord) error
 }
 
@@ -651,7 +658,9 @@ func (e *Engine) resolve(req Request) (task, error) {
 	// stabilizer engine (unless the request pins engine=dense), so they are
 	// capped at noise.MaxStabQubits instead of the dense wall; backends
 	// preserve Cliffordness, which the conformance suite enforces.
-	engine := req.Engine
+	run := compiler.ShotRun{NoisyShots: req.Shots, NoiseSeed: req.NoiseSeed, NoiseScale: req.NoiseScale,
+		Noise1Q: req.Noise1Q, Noise2Q: req.Noise2Q, Engine: req.Engine,
+		SampleBits: req.Sample, ShotOffset: req.ShotOffset}
 	if req.Shots > 0 {
 		w := be.Capabilities().WitnessWidth(circ.N)
 		stabEligible := circ.IsClifford() && req.Engine != noise.EngineDense
@@ -675,16 +684,13 @@ func (e *Engine) resolve(req Request) (task, error) {
 		// computation and must share one cache entry — while "dense" and
 		// "stab" runs of the same circuit never alias.
 		if stabEligible {
-			engine = noise.EngineStab
+			run.Engine = noise.EngineStab
 		} else {
-			engine = noise.EngineDense
+			run.Engine = noise.EngineDense
 		}
 	}
 	opts := compiler.Options{Seed: req.Seed, SerialRouter: req.Serial, DenseMapper: req.Dense,
-		Exact: req.Exact, BudgetSeconds: req.Budget,
-		NoisyShots: req.Shots, NoiseSeed: req.NoiseSeed, NoiseScale: req.NoiseScale,
-		Noise1Q: req.Noise1Q, Noise2Q: req.Noise2Q, Engine: engine,
-		SampleBits: req.Sample, ShotOffset: req.ShotOffset}
+		Exact: req.Exact, BudgetSeconds: req.Budget}
 	if err := opts.ApplyRelax(req.Relax); err != nil {
 		return task{}, &RequestError{Msg: err.Error()}
 	}
@@ -695,24 +701,30 @@ func (e *Engine) resolve(req Request) (task, error) {
 		return task{}, &RequestError{Msg: err.Error()}
 	}
 
-	return newTask(label, prio, be, tgt, circ, hash, opts), nil
+	return newTask(label, prio, be, tgt, circ, hash, opts, run), nil
 }
 
-// newTask assembles a runnable task from its compile inputs, deriving the
-// content-addressed cache key and the request class from them.
+// newTask assembles a runnable task from its inputs, deriving the
+// content-addressed cache keys and the request class from them.
 func newTask(label string, prio admission.Priority, be compiler.Backend, tgt compiler.Target,
-	circ *circuit.Circuit, hash string, opts compiler.Options) task {
-	return task{
-		label:   label,
-		hash:    hash,
-		key:     cacheKey(be.Name(), hash, tgt, opts),
-		class:   classOf(opts),
-		prio:    prio,
-		backend: be,
-		target:  tgt,
-		circ:    circ,
-		opts:    opts,
+	circ *circuit.Circuit, hash string, opts compiler.Options, run compiler.ShotRun) task {
+	t := task{
+		label:      label,
+		hash:       hash,
+		compileKey: cacheKey(be.Name()+"\x00"+hash, tgt, opts),
+		class:      classOf(run),
+		prio:       prio,
+		backend:    be,
+		target:     tgt,
+		circ:       circ,
+		opts:       opts,
+		shots:      run,
 	}
+	t.key = t.compileKey
+	if run.NoisyShots > 0 {
+		t.key = cacheKey(t.compileKey, run)
+	}
+	return t
 }
 
 // resolveTarget builds the device description a request compiles against:
@@ -835,21 +847,20 @@ func machineWithinBound(slm, aod hardware.ArraySpec, aods int) bool {
 	return within(aods, max(aod.Rows*aod.Cols, 1), budget)
 }
 
-// cacheKey derives the content-addressed key: backend name and circuit
-// fingerprint plus the canonical JSON of the target and compile options
-// (which include the seed). Deterministic struct-field order makes the key
-// stable; the backend name guarantees two backends never alias an entry.
-func cacheKey(backend, fingerprint string, tgt compiler.Target, opts compiler.Options) string {
+// cacheKey derives a content-addressed key: the hash of prefix and the
+// canonical JSON of vals. A compile key hashes the backend name and circuit
+// fingerprint with the target and compile options (which include the seed);
+// a shot run's key hashes its compile key with the run. Deterministic
+// struct-field order makes the keys stable; the backend name guarantees two
+// backends never alias an entry.
+func cacheKey(prefix string, vals ...any) string {
 	h := sha256.New()
-	io.WriteString(h, backend)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, fingerprint)
+	io.WriteString(h, prefix)
 	enc := json.NewEncoder(h)
-	if err := enc.Encode(tgt); err != nil {
-		panic(fmt.Sprintf("service: encode target: %v", err))
-	}
-	if err := enc.Encode(opts); err != nil {
-		panic(fmt.Sprintf("service: encode options: %v", err))
+	for _, v := range vals {
+		if err := enc.Encode(v); err != nil {
+			panic(fmt.Sprintf("service: encode %T: %v", v, err))
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -1047,7 +1058,7 @@ func (e *Engine) CompileMetrics(ctx context.Context, cfg hardware.Config, circ *
 		return metrics.Compiled{}, fmt.Errorf("service: default backend %q not registered", DefaultBackend)
 	}
 	t := newTask("in-process", admission.Batch, be, compiler.FPQA(cfg), circ,
-		e.fpMemo.memo(circ, (*circuit.Circuit).Fingerprint), opts)
+		e.fpMemo.memo(circ, (*circuit.Circuit).Fingerprint), opts, compiler.ShotRun{})
 	j, err := e.submitBlocking(ctx, t)
 	if err != nil {
 		return metrics.Compiled{}, err
@@ -1088,17 +1099,22 @@ func (e *Engine) Cancel(id string) (bool, error) {
 // cancelJob cancels j's context and, when j is still queued, finishes it at
 // once so callers observe "cancelled" rather than a stale "queued"; the
 // worker that later pops it finds it finalized and skips it. A running job
-// finishes when its backend observes the cancellation. The context is
-// cancelled before the state is read, and run checks the context under the
-// lock it marks the job running with, so a job finished here never runs.
+// finishes when its backend observes the cancellation, possibly before this
+// call returns, so only a job finished before the call is an error. The
+// context is cancelled before the queued state is read, and run checks the
+// context under the lock it marks the job running with, so a job finished
+// here never runs.
 func (e *Engine) cancelJob(j *job) error {
-	j.cancel()
 	j.mu.Lock()
 	finalized, state := j.finalized, j.state
 	j.mu.Unlock()
 	if finalized {
 		return fmt.Errorf("service: job %s already %s", j.id, state)
 	}
+	j.cancel()
+	j.mu.Lock()
+	state = j.state
+	j.mu.Unlock()
 	if state == StateQueued {
 		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", context.Canceled)}, false)
 	}
@@ -1173,7 +1189,7 @@ func (e *Engine) Stats() Stats {
 // cache (coalescing with any in-flight identical computation). The busy
 // gauge and service-time accounting are released before the job finishes,
 // so a caller that sees the job done also sees its worker idle, and a panic
-// that escapes the backend-level recovery in execute (engine bookkeeping,
+// that escapes the backend-level recovery in guard (engine bookkeeping,
 // not backend code) still fails only this job — the worker survives.
 func (e *Engine) run(j *job) {
 	j.mu.Lock()
@@ -1208,30 +1224,56 @@ func (e *Engine) run(j *job) {
 	out, cached = e.compute(j.ctx, j.task)
 }
 
-// compute returns the outcome for a task, via the cache when possible. The
-// first requester of a key owns the compilation; concurrent requesters wait
-// on its entry (counted as cache hits — no duplicate work happens). If an
-// owner is cancelled mid-compile, a live waiter retries and takes ownership.
+// compute returns the outcome for a task through the cache. A task without
+// shots has one entry, its compiled result. A task with shots runs them over
+// the compiled result from that same entry and caches its own result under
+// the task key — unless it streams: the records only exist on this
+// request's connection.
 func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
-	// Streaming sample jobs bypass the cache entirely: their product is the
-	// live record stream, which only exists on this request's connection —
-	// neither serving a histogram from cache nor caching this run's would be
-	// the requested computation.
+	fn := func() *outcome { return e.runShots(ctx, t) }
 	if t.emit != nil {
-		return e.execute(ctx, t), false
+		return e.guard(t, fn), false
 	}
-	sp := obs.SpanFromContext(ctx)
+	if t.key == t.compileKey {
+		fn = func() *outcome { return e.compileTask(ctx, t) }
+	}
+	return e.lookup(ctx, t, t.key, fn)
+}
+
+// lookup returns the outcome cached under key, computing it with fn on a
+// miss. The first requester of a key owns the computation; concurrent
+// requesters wait on its entry (counted as cache hits — no duplicate work
+// happens). If an owner is cancelled mid-run, a live waiter retries and
+// takes ownership. Only the task's own key counts cache events and marks
+// the job cached; the compile-entry lookup beneath a shot run shows only as
+// its cache.lookup span.
+func (e *Engine) lookup(ctx context.Context, t task, key string, fn func() *outcome) (*outcome, bool) {
+	own := key == t.key
 	for {
 		lookupStart := time.Now()
-		ent, hit := e.cache.getOrReserve(t.key)
-		if !hit {
-			e.tel.cacheEvents.With(cacheMiss).Inc()
-			if c := sp.Record("cache.lookup", lookupStart, time.Since(lookupStart)); c != nil {
-				c.SetAttr("outcome", cacheMiss)
+		ent, hit := e.cache.getOrReserve(key)
+		// A hit on an in-flight entry coalesces onto its computation; the
+		// coalesce count is in addition to the hit recorded once the entry
+		// resolves.
+		event := cacheMiss
+		if hit {
+			event = cacheCoalesce
+			select {
+			case <-ent.done:
+				event = cacheHit
+			default:
 			}
-			out := e.execute(ctx, t)
+		}
+		if own && event != cacheHit {
+			e.tel.cacheEvents.With(event).Inc()
+		}
+		if c := obs.SpanFromContext(ctx).Record("cache.lookup", lookupStart, time.Since(lookupStart)); c != nil {
+			c.SetAttr("outcome", event)
+		}
+		if !hit {
+			out := e.guard(t, fn)
 			e.cache.fulfill(ent, out)
-			if out.err != nil || out.timedOut {
+			if out.err != nil || out.res.TimedOut {
 				// Errors are not cached: cancellations are caller-specific,
 				// and client errors are caught at resolve time (backend-side
 				// size limits still fail the individual job). Timed-out
@@ -1242,26 +1284,15 @@ func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
 			}
 			return out, false
 		}
-		// Distinguish a finished-entry hit from coalescing onto an identical
-		// in-flight compilation; the coalesce count is in addition to the hit
-		// recorded once the entry resolves.
-		lookupOutcome := cacheHit
-		select {
-		case <-ent.done:
-		default:
-			lookupOutcome = cacheCoalesce
-			e.tel.cacheEvents.With(cacheCoalesce).Inc()
-		}
-		if c := sp.Record("cache.lookup", lookupStart, time.Since(lookupStart)); c != nil {
-			c.SetAttr("outcome", lookupOutcome)
-		}
 		select {
 		case <-ent.done:
 			out := ent.val
 			if out.err != nil && (errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded)) && ctx.Err() == nil {
 				continue // the owner was cancelled, not us: take over
 			}
-			e.tel.cacheEvents.With(cacheHit).Inc()
+			if own {
+				e.tel.cacheEvents.With(cacheHit).Inc()
+			}
 			return out, true
 		case <-ctx.Done():
 			return &outcome{err: fmt.Errorf("service: compilation cancelled: %w", ctx.Err())}, false
@@ -1269,22 +1300,28 @@ func (e *Engine) compute(ctx context.Context, t task) (*outcome, bool) {
 	}
 }
 
-// execute runs the task's backend and packages the result envelope. A panic
-// in the backend (or the noise replay) is recovered here — inside the cache
-// ownership window, so the reserved entry is still fulfilled and coalesced
-// waiters are woken with the failure instead of hanging — and converted into
-// a failed outcome; the worker stays alive (atomique_panics_total counts it).
-func (e *Engine) execute(ctx context.Context, t task) (out *outcome) {
-	// The compile span wraps the backend run; the pipeline runner sees it via
-	// ctx and attaches one "pass:<name>" child per pass.
-	cspan := obs.SpanFromContext(ctx).StartChild("compile")
+// guard runs fn inside a cache ownership window, converting a panic in the
+// backend or the trajectory engine into a failed outcome: the reserved entry
+// is still fulfilled, so coalesced waiters wake with the failure instead of
+// hanging, and the worker stays alive (atomique_panics_total counts it).
+func (e *Engine) guard(t task, fn func() *outcome) (out *outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			cspan.End()
 			e.recordPanic("backend "+t.backend.Name(), r)
 			out = &outcome{err: fmt.Errorf("service: backend %s panicked: %v", t.backend.Name(), r)}
 		}
 	}()
+	return fn()
+}
+
+// compileTask runs the task's backend and packages the plain result
+// envelope. The cached result keeps the witness shot runs replay and drops
+// the backend's native Artifact, which no cached consumer reads.
+func (e *Engine) compileTask(ctx context.Context, t task) *outcome {
+	// The compile span wraps the backend run; the pipeline runner sees it via
+	// ctx and attaches one "pass:<name>" child per pass.
+	cspan := obs.SpanFromContext(ctx).StartChild("compile")
+	defer cspan.End() // a panicking backend skips the End below
 	cctx := ctx
 	if cspan != nil {
 		cspan.SetAttr("backend", t.backend.Name())
@@ -1296,37 +1333,43 @@ func (e *Engine) execute(ctx context.Context, t task) (out *outcome) {
 		return &outcome{err: err}
 	}
 	e.recordPasses(res.Metrics.Passes)
-	// Noisy-shot requests replay the compiled program through the
-	// trajectory engine on the same worker; the estimate is deterministic
-	// per (options, seed), so the outcome stays cacheable. The trajectory
-	// engine hangs its witness-replay and chunk spans off the job root in
-	// ctx, as siblings of the compile span.
-	if t.emit != nil {
-		err = compiler.AttachSample(ctx, t.target, res, t.opts, t.emit)
-	} else {
-		err = compiler.AttachNoise(ctx, t.target, res, t.opts)
+	res.Artifact = nil
+	return encodeOutcome(t, res, nil, nil)
+}
+
+// runShots runs the task's shots over its compiled result, taken from the
+// compile entry a plain compile of the same inputs uses. The trajectory
+// engine hangs its witness-replay and chunk spans off the job root in ctx,
+// as siblings of the compile span.
+func (e *Engine) runShots(ctx context.Context, t task) *outcome {
+	c, _ := e.lookup(ctx, t, t.compileKey, func() *outcome { return e.compileTask(ctx, t) })
+	if c.err != nil || c.res.TimedOut {
+		return c
 	}
+	est, sr, err := compiler.RunShots(ctx, t.target, c.res, t.shots, t.emit)
 	if err != nil {
 		return &outcome{err: err}
 	}
-	if t.opts.NoisyShots > 0 {
-		if t.opts.SampleBits {
-			e.tel.sampledShots.Add(float64(t.opts.NoisyShots))
-		} else {
-			e.tel.shots.Add(float64(t.opts.NoisyShots))
-		}
+	if est != nil {
+		e.tel.shots.Add(float64(est.Shots))
 	}
+	if sr != nil {
+		e.tel.sampledShots.Add(float64(sr.Shots))
+	}
+	return encodeOutcome(t, c.res, est, sr)
+}
+
+// encodeOutcome packages a compiled result, and the product of a shot run
+// over it if any, as a finished outcome with its result envelope.
+func encodeOutcome(t task, res *compiler.Result, est *noise.Estimate, sr *noise.SampleResult) *outcome {
 	env := report.NewEnvelope(t.hash, res.Metrics)
-	env.Backend = res.Backend
-	env.Extra = res.Extra
-	env.TimedOut = res.TimedOut
-	env.Noise = res.Noise
-	env.Sample = res.Sample
+	env.Backend, env.Extra, env.TimedOut = res.Backend, res.Extra, res.TimedOut
+	env.Noise, env.Sample = est, sr
 	js, err := env.EncodeJSON()
 	if err != nil {
 		return &outcome{err: fmt.Errorf("service: encode result: %w", err)}
 	}
-	return &outcome{metrics: res.Metrics, json: js, timedOut: res.TimedOut}
+	return &outcome{metrics: res.Metrics, json: js, res: res}
 }
 
 // recordPasses folds one compilation's per-pass timings into the engine-wide
@@ -1365,7 +1408,9 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	// Count the outcome before the terminal state is visible, so whoever
 	// observes the state also finds it in /v1/stats and /metrics.
 	e.tel.requests.With(j.task.backend.Name(), j.task.class, outcomeLabel).Inc()
-	j.out = out
+	// The job drops the compiled result: up to maxTrackedJobs finished jobs
+	// outlive their cache entries, and each would pin a witness.
+	j.out = &outcome{metrics: out.metrics, json: out.json, err: out.err}
 	j.cached = cached
 	j.finishedAt = time.Now()
 	state := j.state
@@ -1391,9 +1436,8 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 		}
 		hist.ObserveExemplar(elapsed.Seconds(), j.trace.ID)
 	}
-	j.cancel() // release the context resources
-	close(j.done)
-
+	// The trace is closed out before waiters wake, so whoever sees the job
+	// done also finds its trace in the ring.
 	j.trace.Root.SetAttr("state", string(state))
 	j.trace.Root.SetAttr("cached", strconv.FormatBool(cached))
 	j.trace.Root.End()
@@ -1402,6 +1446,9 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	} else {
 		e.tel.traces.Add(j.trace)
 	}
+	j.cancel() // release the context resources
+	close(j.done)
+
 	if out.err != nil {
 		e.logJob(j, "job finished", "state", state, "seconds", elapsed.Seconds(),
 			"cached", cached, "error", out.err.Error())

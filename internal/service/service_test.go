@@ -321,6 +321,28 @@ func TestTimedOutResultsNotCached(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsDropWitness: the cache keeps a compiled result's witness
+// for the shot runs over it, but a finished job keeps only its envelope —
+// up to maxTrackedJobs jobs outlive their cache entries, and a witness each
+// would pin the heap.
+func TestFinishedJobsDropWitness(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	jv, err := e.Compile(context.Background(), Request{Benchmark: "H2-4", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	j := e.jobs[jv.ID]
+	e.mu.Unlock()
+	if j.out.res != nil || len(j.out.json) == 0 {
+		t.Errorf("finished job holds res=%v and %d envelope bytes, want no result and the envelope", j.out.res, len(j.out.json))
+	}
+	if ent, hit := e.cache.getOrReserve(j.task.key); !hit || ent.val.res == nil || ent.val.res.Program == nil || ent.val.res.Artifact != nil {
+		t.Error("cache entry does not keep the witness without the artifact")
+	}
+}
+
 // TestResolveDefaultBackend: an empty backend field selects atomique.
 func TestResolveDefaultBackend(t *testing.T) {
 	e := New(Config{Workers: 1})

@@ -204,12 +204,12 @@ func newTelemetry(e *Engine, logger *slog.Logger, traceBuffer int) *telemetry {
 	return t
 }
 
-// classOf maps compile options to the request class.
-func classOf(opts compiler.Options) string {
+// classOf maps a task's shot run to the request class.
+func classOf(run compiler.ShotRun) string {
 	switch {
-	case opts.SampleBits:
+	case run.SampleBits:
 		return ClassSample
-	case opts.NoisyShots > 0:
+	case run.NoisyShots > 0:
 		return ClassSimulate
 	default:
 		return ClassCompile

@@ -33,8 +33,8 @@ func main() {
 		useSvc  = flag.Bool("service", false, "run Atomique compiles through the compile service's batch path (content-addressed cache dedupes repeated sweeps)")
 		workers = flag.Int("workers", 0, "service worker pool size (with -service; 0 = GOMAXPROCS)")
 
-		benchRecordPath = flag.String("bench-record", "", "measure the tracked benchmark workloads (Tab2 compile, per-backend compile, noisy-shot throughput, stabilizer trajectory throughput, sampling throughput), write the JSON perf record to this file, and exit")
-		benchBaseline   = flag.String("bench-baseline", "", "pre-change Tab2 baseline to diff against in -bench-record: seconds/op, a BENCH_*.json file, or a directory holding BENCH_*.json records (latest wins); empty = none; >2% regression fails the run")
+		benchRecordPath = flag.String("bench-record", "", "measure the tracked workloads of internal/benchwork (best of 5 runs each: seconds/op, allocs/op, B/op, reported metrics), write the JSON perf record to this file, and exit")
+		benchBaseline   = flag.String("bench-baseline", "", "Tab2 baseline for -bench-record: a BENCH_*.json file, or a directory holding BENCH_*.json records (latest wins); empty = none; >2% regression fails the run")
 	)
 	flag.Parse()
 
@@ -54,19 +54,6 @@ func main() {
 		return
 	}
 
-	if *useSvc {
-		engine := service.New(service.Config{Workers: *workers})
-		defer func() {
-			st := engine.Stats()
-			fmt.Printf("[service: %d compiles, %d cache hits, %d misses, %d cached entries]\n",
-				st.Submitted, st.CacheHits, st.CacheMisses, st.CacheEntries)
-			engine.Close()
-		}()
-		exp.SetCompiler(func(cfg hardware.Config, c *circuit.Circuit, opts compiler.Options) (metrics.Compiled, error) {
-			return engine.CompileMetrics(context.Background(), cfg, c, opts)
-		})
-	}
-
 	if *list {
 		for _, e := range exp.All() {
 			fmt.Printf("%-7s %s\n", e.ID, e.Title)
@@ -79,13 +66,30 @@ func main() {
 		selected = exp.All()
 	} else {
 		for _, id := range strings.Split(*run, ",") {
-			e, ok := exp.ByID(strings.TrimSpace(id))
+			id = strings.TrimSpace(id)
+			if id == "" {
+				continue
+			}
+			e, ok := exp.ByID(id)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "experiments: unknown id %q (try -list)\n", id)
 				os.Exit(1)
 			}
 			selected = append(selected, e)
 		}
+	}
+
+	if *useSvc {
+		engine := service.New(service.Config{Workers: *workers})
+		defer func() {
+			st := engine.Stats()
+			fmt.Printf("[service: %d compiles, %d cache hits, %d misses, %d cached entries]\n",
+				st.Submitted, st.CacheHits, st.CacheMisses, st.CacheEntries)
+			engine.Close()
+		}()
+		exp.SetCompiler(func(cfg hardware.Config, c *circuit.Circuit, opts compiler.Options) (metrics.Compiled, error) {
+			return engine.CompileMetrics(context.Background(), cfg, c, opts)
+		})
 	}
 
 	for _, e := range selected {

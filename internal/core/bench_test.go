@@ -55,22 +55,6 @@ func BenchmarkCompileQAOA100(b *testing.B) {
 	}
 }
 
-// BenchmarkTab2Compile compiles the full Table II benchmark suite through
-// the pass pipeline — the headline compile-speed number for the incremental
-// stage-plan router (CI runs it with -benchtime=1x as a smoke test).
-func BenchmarkTab2Compile(b *testing.B) {
-	cfg := hardware.DefaultConfig()
-	suite := bench.Table2Suite()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bm := range suite {
-			if _, err := Compile(cfg, bm.Circ, Options{Seed: 1}); err != nil {
-				b.Fatalf("%s: %v", bm.Name, err)
-			}
-		}
-	}
-}
-
 // stagePlanWorkload generates a fixed random attempt sequence over a
 // realistically occupied machine; both stage-plan implementations replay
 // exactly the same sequence.

@@ -31,6 +31,13 @@ type prepared struct {
 	tab   *stab.Tableau
 	ct    *conjTable
 
+	// Dense checkpoints: ckpts[i] is the noise-free state after
+	// (i+1)·ckptEvery gates, so an errored shot replays only the gates from
+	// the last checkpoint at or before its first event. ckptEvery is 0 when
+	// there are none.
+	ckptEvery int
+	ckpts     [][]complex128
+
 	// Samplers of the ideal output, built for Sample only.
 	denseSampler *sim.Sampler
 	stabSampler  *stab.Sampler
@@ -70,6 +77,9 @@ func prepare(ctx context.Context, mo Model, w Witness, engine string, shots int,
 		if g.Q0 < 0 || g.Q0 >= w.NSlots || (g.IsTwoQubit() && (g.Q1 < 0 || g.Q1 >= w.NSlots)) {
 			return nil, fmt.Errorf("noise: witness gate %d (%v) addresses a slot outside [0,%d)", i, g, w.NSlots)
 		}
+		if g.IsTwoQubit() && g.Q0 == g.Q1 {
+			return nil, fmt.Errorf("noise: witness gate %d (%v) acts twice on slot %d", i, g, g.Q0)
+		}
 	}
 
 	// Traced callers (the compile service) get spans for the witness replay
@@ -92,14 +102,12 @@ func prepare(ctx context.Context, mo Model, w Witness, engine string, shots int,
 		p.tab = t
 		p.ct = newConjTable(w)
 	default:
-		st, err := sim.NewState(w.NSlots)
+		p.ckptEvery = checkpointSpacing(w.NSlots, len(w.Gates), checkpointBytes)
+		st, ckpts, err := denseReference(w, p.ckptEvery)
 		if err != nil {
 			return nil, fmt.Errorf("noise: %w", err)
 		}
-		for _, g := range w.Gates {
-			st.Apply(g)
-		}
-		p.ideal = st
+		p.ideal, p.ckpts = st, ckpts
 		if sampling {
 			p.denseSampler = sim.NewSampler(st)
 		}
@@ -119,6 +127,49 @@ func prepare(ctx context.Context, mo Model, w Witness, engine string, shots int,
 		}
 	}
 	return p, nil
+}
+
+// checkpointBytes budgets one dense run's checkpoints. It bounds memory
+// rather than fixing a gate count, so spacing widens with the register
+// width, and a register whose single state exceeds it gets no checkpoints.
+const checkpointBytes = 8 << 20
+
+// checkpointSpacing returns the gate spacing of a dense run's checkpoints:
+// the smallest spacing whose gates/spacing checkpoints of 2^slots
+// amplitudes fit budget bytes, or 0 for no checkpoints.
+func checkpointSpacing(slots, gates, budget int) int {
+	perState := 16 << uint(slots) // complex128 amplitudes
+	fit := budget / perState
+	if gates == 0 || fit == 0 {
+		return 0
+	}
+	return (gates + fit - 1) / fit
+}
+
+// denseReference replays w noise-free from |0…0⟩ and returns the final
+// state with a copy of the state after every `every` gates (none when every
+// is 0). A checkpoint comes from the same op sequence an errored replay
+// runs, so resuming from one is bit-identical to replaying from the start.
+func denseReference(w Witness, every int) (*sim.State, [][]complex128, error) {
+	st, err := sim.NewState(w.NSlots)
+	if err != nil {
+		return nil, nil, err
+	}
+	var ckpts [][]complex128
+	if every > 0 {
+		ckpts = make([][]complex128, len(w.Gates)/every)
+		backing := make([]complex128, len(ckpts)*len(st.Amp))
+		for i := range ckpts {
+			ckpts[i] = backing[i*len(st.Amp) : (i+1)*len(st.Amp)]
+		}
+	}
+	for gi, g := range w.Gates {
+		st.Apply(g)
+		if every > 0 && (gi+1)%every == 0 {
+			copy(ckpts[(gi+1)/every-1], st.Amp)
+		}
+	}
+	return st, ckpts, nil
 }
 
 // chunkShots is the work-unit size of the parallel shot loop. Chunk

@@ -96,6 +96,11 @@ func Sample(ctx context.Context, mo Model, w Witness, run SampleRun) (*SampleRes
 	if err != nil {
 		return nil, err
 	}
+	return p.sample(ctx, run)
+}
+
+// sample runs Sample's shot loop over a prepared engine.
+func (p *prepared) sample(ctx context.Context, run SampleRun) (*SampleResult, error) {
 	stream := run.Emit != nil
 	var emit func(*samplePartial) error
 	if stream {

@@ -217,10 +217,15 @@ func Simulate(ctx context.Context, mo Model, w Witness, run Run) (*Estimate, err
 	if err != nil {
 		return nil, err
 	}
+	return p.simulate(ctx, run)
+}
+
+// simulate runs Simulate's shot loop over a prepared engine.
+func (p *prepared) simulate(ctx context.Context, run Run) (*Estimate, error) {
 	parts, err := runChunks(ctx, p, chunkRun{
 		shots: run.Shots, seed: run.Seed, workers: run.Workers,
 		span: "noise.trajectory", what: "simulation",
-	}, func() partial { return partial{events: make([]int64, len(mo.Channels))} }, (*shotSim).run, nil)
+	}, func() partial { return partial{events: make([]int64, len(p.mo.Channels))} }, (*shotSim).run, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -436,14 +441,25 @@ func (s *shotSim) stabFrame() *stab.Frame {
 }
 
 // replayDenseState re-executes the witness with the shot's events injected,
-// leaving the errored final state in s.scratch.
+// leaving the errored final state in s.scratch. The gates before the first
+// event are the noise-free prefix: the replay starts from the last
+// checkpoint at or before it, or from |0…0⟩.
 func (s *shotSim) replayDenseState() {
 	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
 	st := s.scratch
-	for i := range st.Amp {
-		st.Amp[i] = 0
+	start := 0
+	if s.ckptEvery > 0 && len(s.events) > 0 {
+		if c := min(s.events[0].pos/s.ckptEvery, len(s.ckpts)); c > 0 {
+			copy(st.Amp, s.ckpts[c-1])
+			start = c * s.ckptEvery
+		}
 	}
-	st.Amp[0] = 1
+	if start == 0 {
+		for i := range st.Amp {
+			st.Amp[i] = 0
+		}
+		st.Amp[0] = 1
+	}
 	ei := 0
 	apply := func(pos int) {
 		for ei < len(s.events) && s.events[ei].pos == pos {
@@ -451,9 +467,9 @@ func (s *shotSim) replayDenseState() {
 			ei++
 		}
 	}
-	apply(0)
-	for gi, g := range s.w.Gates {
-		st.Apply(g)
+	apply(start)
+	for gi := start; gi < len(s.w.Gates); gi++ {
+		st.Apply(s.w.Gates[gi])
 		apply(gi + 1)
 	}
 }

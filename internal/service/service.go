@@ -295,30 +295,33 @@ type task struct {
 	emit func([]noise.ShotRecord) error
 }
 
-// job is the internal record behind a Job snapshot.
+// job is the internal record behind a Job snapshot. A finished job keeps
+// only what its snapshot renders: finish drops its context, span tree,
+// circuit and compiled result, since up to maxTrackedJobs finished jobs stay
+// registered and anything more each one held would grow the heap with
+// throughput.
 type job struct {
-	id     string
-	task   task
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{} // closed exactly once, by finish
+	id      string
+	traceID string
+	task    task
+	ctx     context.Context
+	cancel  context.CancelFunc
+	done    chan struct{} // closed exactly once, by finish
 
 	// trace is the job's request-scoped span tree; its root spans the whole
 	// job and every instrumented stage (queue wait, cache lookup, pipeline
 	// passes, noise trajectory) hangs off it via j.ctx.
 	trace *obs.Trace
 
-	mu         sync.Mutex
-	state      State
-	finalized  bool // finish already ran; later finish/run calls are no-ops
+	mu        sync.Mutex
+	state     State
+	finalized bool // finish already ran; later finish/run calls are no-ops
+	// out is set with the terminal state. Its json is the result envelope
+	// with this job's trace spliced in.
 	out        *outcome
 	cached     bool
 	submitted  time.Time
 	finishedAt time.Time
-	// tracedJSON memoises the cached envelope bytes with this job's trace
-	// spliced in; built lazily on first snapshot that carries a result, so
-	// the in-process metrics path never pays for it.
-	tracedJSON []byte
 }
 
 // Stats is the /v1/stats payload: queue, worker, cache, and per-pass
@@ -878,6 +881,7 @@ func (e *Engine) newJob(callerCtx context.Context, t task) *job {
 	ctx, cancel := context.WithCancel(obs.ContextWithSpan(e.ctx, tr.Root))
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", e.seq.Add(1)),
+		traceID:   tr.ID,
 		task:      t,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -997,7 +1001,7 @@ func (e *Engine) reject(t task, decision, msg string, extra ...any) {
 // logJob emits one structured lifecycle event correlated by trace ID.
 func (e *Engine) logJob(j *job, msg string, extra ...any) {
 	args := append([]any{
-		"job", j.id, "traceId", j.trace.ID,
+		"job", j.id, "traceId", j.traceID,
 		"backend", j.task.backend.Name(), "class", j.task.class,
 		"benchmark", j.task.label,
 	}, extra...)
@@ -1106,12 +1110,12 @@ func (e *Engine) Cancel(id string) (bool, error) {
 // here never runs.
 func (e *Engine) cancelJob(j *job) error {
 	j.mu.Lock()
-	finalized, state := j.finalized, j.state
+	finalized, state, cancel := j.finalized, j.state, j.cancel
 	j.mu.Unlock()
 	if finalized {
 		return fmt.Errorf("service: job %s already %s", j.id, state)
 	}
-	j.cancel()
+	cancel()
 	j.mu.Lock()
 	state = j.state
 	j.mu.Unlock()
@@ -1197,7 +1201,8 @@ func (e *Engine) run(j *job) {
 		j.mu.Unlock()
 		return
 	}
-	if err := j.ctx.Err(); err != nil {
+	ctx := j.ctx
+	if err := ctx.Err(); err != nil {
 		j.mu.Unlock()
 		e.finish(j, &outcome{err: fmt.Errorf("service: compilation cancelled: %w", err)}, false)
 		return
@@ -1221,7 +1226,7 @@ func (e *Engine) run(j *job) {
 		}
 		e.finish(j, out, cached)
 	}()
-	out, cached = e.compute(j.ctx, j.task)
+	out, cached = e.compute(ctx, j.task)
 }
 
 // compute returns the outcome for a task through the cache. A task without
@@ -1396,26 +1401,20 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 		return
 	}
 	j.finalized = true
-	outcomeLabel := outcomeDone
+	j.mu.Unlock()
+	state, outcomeLabel := StateDone, outcomeDone
 	switch {
 	case out.err == nil:
-		j.state = StateDone
 	case errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded):
-		j.state, outcomeLabel = StateCancelled, outcomeCancelled
+		state, outcomeLabel = StateCancelled, outcomeCancelled
 	default:
-		j.state, outcomeLabel = StateFailed, outcomeFailed
+		state, outcomeLabel = StateFailed, outcomeFailed
 	}
 	// Count the outcome before the terminal state is visible, so whoever
 	// observes the state also finds it in /v1/stats and /metrics.
 	e.tel.requests.With(j.task.backend.Name(), j.task.class, outcomeLabel).Inc()
-	// The job drops the compiled result: up to maxTrackedJobs finished jobs
-	// outlive their cache entries, and each would pin a witness.
-	j.out = &outcome{metrics: out.metrics, json: out.json, err: out.err}
-	j.cached = cached
-	j.finishedAt = time.Now()
-	state := j.state
-	elapsed := j.finishedAt.Sub(j.submitted)
-	j.mu.Unlock()
+	finishedAt := time.Now()
+	elapsed := finishedAt.Sub(j.submitted)
 
 	// The latency histogram (successes only — cancellations would skew the
 	// percentiles the autoscaler feeds on) carries this job's trace ID as an
@@ -1446,7 +1445,25 @@ func (e *Engine) finish(j *job, out *outcome, cached bool) {
 	} else {
 		e.tel.traces.Add(j.trace)
 	}
-	j.cancel() // release the context resources
+
+	// Splice the closed trace into the (trace-free, byte-identical) cached
+	// envelope once, while the job still holds its span tree; a splice
+	// failure falls back to the raw cached bytes rather than failing the
+	// response. Then the job drops everything its snapshot does not render.
+	env := out.json
+	if out.err == nil {
+		if spliced, err := report.WithTrace(out.json, j.traceID, j.trace.Root.Snapshot()); err == nil {
+			env = spliced
+		}
+	}
+	j.mu.Lock()
+	j.state, j.cached, j.finishedAt = state, cached, finishedAt
+	j.out = &outcome{metrics: out.metrics, json: env, err: out.err}
+	cancel := j.cancel
+	j.ctx, j.cancel, j.trace = nil, nil, nil
+	j.task.circ, j.task.emit = nil, nil
+	j.mu.Unlock()
+	cancel() // release the context resources
 	close(j.done)
 
 	if out.err != nil {
@@ -1473,7 +1490,7 @@ func (e *Engine) snapshot(j *job) *Job {
 	v := &Job{
 		ID:          j.id,
 		State:       j.state,
-		TraceID:     j.trace.ID,
+		TraceID:     j.traceID,
 		Benchmark:   j.task.label,
 		CircuitHash: j.task.hash,
 		Cached:      j.cached,
@@ -1488,18 +1505,7 @@ func (e *Engine) snapshot(j *job) *Job {
 		if j.out.err != nil {
 			v.Error = j.out.err.Error()
 		} else {
-			// Splice this job's trace into the (trace-free, byte-identical)
-			// cached envelope, once per job; a splice failure falls back to
-			// the raw cached bytes rather than failing the response.
-			if j.tracedJSON == nil {
-				j.tracedJSON = j.out.json
-				if j.finalized {
-					if spliced, err := report.WithTrace(j.out.json, j.trace.ID, j.trace.Root.Snapshot()); err == nil {
-						j.tracedJSON = spliced
-					}
-				}
-			}
-			v.Result = json.RawMessage(j.tracedJSON)
+			v.Result = json.RawMessage(j.out.json)
 		}
 	}
 	return v

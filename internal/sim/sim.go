@@ -122,35 +122,55 @@ func gate1Q(op circuit.Op, theta float64) [4]complex128 {
 	}
 }
 
+// apply1Q and apply2Q are stride loops: they visit exactly the amplitude
+// pairs (1Q) or quads (2Q) a gate couples, blocked by the target bits, with
+// no per-index test. Each amplitude gets the same floating-point expression
+// as the plain per-index form — u[0]*a0 + u[1]*a1 even when u is diagonal —
+// so trajectory outputs are bit-identical to it.
 func (s *State) apply1Q(g circuit.Gate) {
 	u := gate1Q(g.Op, g.Param)
-	bit := 1 << uint(g.Q0)
-	for i := range s.Amp {
-		if i&bit != 0 {
-			continue
+	u0, u1, u2, u3 := u[0], u[1], u[2], u[3]
+	half := 1 << uint(g.Q0)
+	for lo := 0; lo < len(s.Amp); lo += 2 * half {
+		x := s.Amp[lo : lo+half]
+		y := s.Amp[lo+half : lo+2*half]
+		for k, a0 := range x {
+			a1 := y[k]
+			x[k] = u0*a0 + u1*a1
+			y[k] = u2*a0 + u3*a1
 		}
-		a0, a1 := s.Amp[i], s.Amp[i|bit]
-		s.Amp[i] = u[0]*a0 + u[1]*a1
-		s.Amp[i|bit] = u[2]*a0 + u[3]*a1
 	}
 }
 
 func (s *State) apply2Q(g circuit.Gate) {
+	if g.Q0 == g.Q1 {
+		panic("sim: two-qubit gate on identical qubits")
+	}
 	b0 := 1 << uint(g.Q0)
 	b1 := 1 << uint(g.Q1)
+	// Every quad {i, i|b0, i|b1, i|b0|b1} has a base i with both bits
+	// clear; bases come in runs of lo consecutive indices.
+	lo, hi := min(b0, b1), max(b0, b1)
+	amp := s.Amp
 	switch g.Op {
 	case circuit.OpCX:
-		for i := range s.Amp {
-			// Control set, target clear: swap with target set.
-			if i&b0 != 0 && i&b1 == 0 {
-				j := i | b1
-				s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
+		// Control set: swap target clear with target set.
+		for h := 0; h < len(amp); h += 2 * hi {
+			for m := h; m < h+hi; m += 2 * lo {
+				x := amp[m|b0 : m|b0+lo]
+				y := amp[m|b0|b1 : m|b0|b1+lo]
+				for k := range x {
+					x[k], y[k] = y[k], x[k]
+				}
 			}
 		}
 	case circuit.OpCZ:
-		for i := range s.Amp {
-			if i&b0 != 0 && i&b1 != 0 {
-				s.Amp[i] = -s.Amp[i]
+		for h := 0; h < len(amp); h += 2 * hi {
+			for m := h; m < h+hi; m += 2 * lo {
+				x := amp[m|b0|b1 : m|b0|b1+lo]
+				for k := range x {
+					x[k] = -x[k]
+				}
 			}
 		}
 	case circuit.OpZZ:
@@ -158,18 +178,28 @@ func (s *State) apply2Q(g circuit.Gate) {
 		// exp(+i theta/2) on odd parity.
 		pe := cmplx.Exp(complex(0, -g.Param/2))
 		po := cmplx.Exp(complex(0, g.Param/2))
-		for i := range s.Amp {
-			if (i&b0 != 0) != (i&b1 != 0) {
-				s.Amp[i] *= po
-			} else {
-				s.Amp[i] *= pe
+		for h := 0; h < len(amp); h += 2 * hi {
+			for m := h; m < h+hi; m += 2 * lo {
+				e0 := amp[m : m+lo]
+				o0 := amp[m|b0 : m|b0+lo]
+				o1 := amp[m|b1 : m|b1+lo]
+				e1 := amp[m|b0|b1 : m|b0|b1+lo]
+				for k := range e0 {
+					e0[k] *= pe
+					o0[k] *= po
+					o1[k] *= po
+					e1[k] *= pe
+				}
 			}
 		}
 	case circuit.OpSWAP:
-		for i := range s.Amp {
-			if i&b0 != 0 && i&b1 == 0 {
-				j := (i &^ b0) | b1
-				s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
+		for h := 0; h < len(amp); h += 2 * hi {
+			for m := h; m < h+hi; m += 2 * lo {
+				x := amp[m|b0 : m|b0+lo]
+				y := amp[m|b1 : m|b1+lo]
+				for k := range x {
+					x[k], y[k] = y[k], x[k]
+				}
 			}
 		}
 	default:

@@ -1,6 +1,10 @@
 package stab
 
-import "atomique/internal/circuit"
+import (
+	"math/bits"
+
+	"atomique/internal/circuit"
+)
 
 // Frame is a Pauli error frame: the qubit-packed X/Z components of a sampled
 // error, propagated forward through the remaining Clifford gates by
@@ -117,17 +121,13 @@ func (t *Tableau) Disturbs(f *Frame) bool {
 	for w := range syn {
 		syn[w] = 0
 	}
-	for q := 0; q < t.n; q++ {
-		qw, qb := q>>6, uint(q&63)
-		if f.X[qw]>>qb&1 == 1 {
-			for w := 0; w < t.w; w++ {
-				syn[w] ^= t.z[q][w]
-			}
+	// Frames are sparse: visit only the set bits of each word.
+	for qw := range f.X {
+		for b := f.X[qw]; b != 0; b &= b - 1 {
+			xorInto(syn, t.z[qw<<6|bits.TrailingZeros64(b)])
 		}
-		if f.Z[qw]>>qb&1 == 1 {
-			for w := 0; w < t.w; w++ {
-				syn[w] ^= t.x[q][w]
-			}
+		for b := f.Z[qw]; b != 0; b &= b - 1 {
+			xorInto(syn, t.x[qw<<6|bits.TrailingZeros64(b)])
 		}
 	}
 	for w := 0; w < t.w; w++ {
@@ -136,4 +136,11 @@ func (t *Tableau) Disturbs(f *Frame) bool {
 		}
 	}
 	return false
+}
+
+// xorInto sets dst ^= src word by word.
+func xorInto(dst, src []uint64) {
+	for w := range dst {
+		dst[w] ^= src[w]
+	}
 }

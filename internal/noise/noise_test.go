@@ -249,6 +249,10 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := Simulate(context.Background(), mo, bad, Run{Shots: 1}); err == nil {
 		t.Error("out-of-range witness gate accepted")
 	}
+	twice := Witness{NSlots: 2, Gates: []circuit.Gate{{Op: circuit.OpT, Q0: 0, Q1: -1}, {Op: circuit.OpZZ, Q0: 1, Q1: 1, Param: 0.3}}}
+	if _, err := Simulate(context.Background(), mo, twice, Run{Shots: 1}); err == nil {
+		t.Error("two-qubit witness gate on one slot accepted")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Simulate(ctx, mo, bellWitness(), Run{Shots: 100000}); !errors.Is(err, context.Canceled) {

@@ -440,15 +440,15 @@ func (s *shotSim) stabFrame() *stab.Frame {
 	return f
 }
 
-// replayDenseState re-executes the witness with the shot's events injected,
-// leaving the errored final state in s.scratch. The gates before the first
-// event are the noise-free prefix: the replay starts from the last
-// checkpoint at or before it, or from |0…0⟩.
+// replayDenseState re-executes the witness with the shot's events (at
+// least one) injected, leaving the errored final state in s.scratch. The
+// gates before the first event are the noise-free prefix: the replay starts
+// from the last checkpoint at or before it, or from |0…0⟩.
 func (s *shotSim) replayDenseState() {
 	sort.Slice(s.events, func(i, j int) bool { return s.events[i].pos < s.events[j].pos })
 	st := s.scratch
 	start := 0
-	if s.ckptEvery > 0 && len(s.events) > 0 {
+	if s.ckptEvery > 0 {
 		if c := min(s.events[0].pos/s.ckptEvery, len(s.ckpts)); c > 0 {
 			copy(st.Amp, s.ckpts[c-1])
 			start = c * s.ckptEvery

@@ -9,7 +9,7 @@ import (
 
 // TestFinishedJobKeepsOnlySnapshot: a finished job keeps what its snapshot
 // renders — ID, state, times, metrics, error and the traced envelope — and
-// drops its context, cancel func, span tree and circuit. Up to
+// drops its context, cancel func, span tree and emit callback. Up to
 // maxTrackedJobs finished jobs stay registered, so anything more each one
 // pins grows the heap with throughput.
 func TestFinishedJobKeepsOnlySnapshot(t *testing.T) {
@@ -26,8 +26,8 @@ func TestFinishedJobKeepsOnlySnapshot(t *testing.T) {
 	if j.ctx != nil || j.cancel != nil || j.trace != nil {
 		t.Errorf("finished job holds ctx=%v cancel=%v trace=%v, want none", j.ctx != nil, j.cancel != nil, j.trace != nil)
 	}
-	if j.task.circ != nil || j.task.emit != nil {
-		t.Error("finished job still holds its task's circuit or emit callback")
+	if j.task.emit != nil {
+		t.Error("finished job still holds its emit callback")
 	}
 	j.mu.Unlock()
 
